@@ -19,14 +19,12 @@ from .core import (
     ContractError,
     Message,
     PeerId,
+    PeerMap,
     Topic,
     difference,
+    first_difference,
     insert_unique,
     is_ascending,
-    map_delete,
-    map_get,
-    map_keys,
-    map_set,
     ordered_set,
     union_sets,
 )
@@ -50,29 +48,8 @@ class BroadcastPeer:
         }
 
 
-@dataclass(frozen=True)
-class BroadcastState:
+class BroadcastState(PeerMap[BroadcastPeer]):
     """Finite map peer -> BroadcastPeer with strictly ascending keys."""
-
-    entries: tuple[tuple[PeerId, BroadcastPeer], ...] = ()
-
-    def get(self, p: PeerId) -> BroadcastPeer | None:
-        return map_get(self.entries, p)
-
-    def keys(self) -> tuple[PeerId, ...]:
-        return map_keys(self.entries)
-
-    def __contains__(self, p: PeerId) -> bool:
-        return self.get(p) is not None
-
-    def with_peer(self, p: PeerId, pst: BroadcastPeer) -> "BroadcastState":
-        return BroadcastState(map_set(self.entries, p, pst))
-
-    def without_peer(self, p: PeerId) -> "BroadcastState":
-        return BroadcastState(map_delete(self.entries, p))
-
-    def to_obj(self) -> dict:
-        return {"peers": {str(p): pst.to_obj() for p, pst in self.entries}}
 
 
 def is_new_message(m: Message, s: BroadcastState) -> bool:
@@ -109,9 +86,7 @@ def _receive(pst: BroadcastPeer, m: Message) -> BroadcastPeer:
 def broadcast_partial(m: Message, receivers: tuple[PeerId, ...], s: BroadcastState) -> BroadcastState:
     """Deliver m to exactly the given peers, leaving everyone else untouched.
 
-    receivers must be strictly ascending and a subset of the state's keys;
-    a mis-ordered receiver list would be silently skipped by the lock-step
-    delivery walk, so it is rejected instead.
+    receivers must be an ordered set (strictly ascending) of the state's keys.
     """
     if not is_new_message(m, s):
         raise ContractError(f"broadcast-partial: message {m} was already seen")
@@ -121,15 +96,9 @@ def broadcast_partial(m: Message, receivers: tuple[PeerId, ...], s: BroadcastSta
     missing = [p for p in receivers if p not in keys]
     if missing:
         raise ContractError(f"broadcast-partial: receivers {missing} not in state")
-    out = []
-    i = 0
-    for p, pst in s.entries:
-        if i < len(receivers) and p == receivers[i]:
-            out.append((p, _receive(pst, m)))
-            i += 1
-        else:
-            out.append((p, pst))
-    return BroadcastState(tuple(out))
+    return BroadcastState(
+        tuple((p, _receive(pst, m) if p in receivers else pst) for p, pst in s.entries)
+    )
 
 
 def message_receivers(m: Message, s: BroadcastState) -> tuple[PeerId, ...]:
@@ -167,9 +136,9 @@ def leave(p: PeerId, s: BroadcastState) -> BroadcastState:
     return s.without_peer(p)
 
 
-# Witness functions. Each walks the two entry sequences in lock step,
-# skipping equal entries, and reads the transition's arguments off the
-# first position where the states disagree.
+# Witness functions. Each walks the two entry sequences in lock step with
+# first_difference and reads the transition's arguments off the first
+# position where the states disagree.
 
 
 def message_witness(s: BroadcastState, u: BroadcastState) -> Message | None:
@@ -180,10 +149,8 @@ def message_witness(s: BroadcastState, u: BroadcastState) -> Message | None:
     absence) is the verdict.
     """
     es, eu = s.entries, u.entries
-    i = 0
-    while i < len(es) and i < len(eu) and es[i] == eu[i]:
-        i += 1
-    if i >= len(es) or i >= len(eu):
+    i = first_difference(es, eu)
+    if i == len(es) or i == len(eu):
         return None
     gained = difference(eu[i][1].seen, es[i][1].seen)
     return gained[0] if gained else None
@@ -192,10 +159,8 @@ def message_witness(s: BroadcastState, u: BroadcastState) -> Message | None:
 def topics_witness(s: BroadcastState, u: BroadcastState) -> tuple[PeerId, tuple[Topic, ...]] | None:
     """The peer and the topics it gained between s and u, if any."""
     es, eu = s.entries, u.entries
-    i = 0
-    while i < len(es) and i < len(eu) and es[i] == eu[i]:
-        i += 1
-    if i >= len(es) or i >= len(eu):
+    i = first_difference(es, eu)
+    if i == len(es) or i == len(eu):
         return None
     (p, pst), (q, qst) = es[i], eu[i]
     if p != q:
@@ -207,14 +172,10 @@ def topics_witness(s: BroadcastState, u: BroadcastState) -> tuple[PeerId, tuple[
 def join_witness(s: BroadcastState, u: BroadcastState) -> tuple[PeerId, BroadcastPeer] | None:
     """The peer entry present in u but not in s, if the walk finds one."""
     es, eu = s.entries, u.entries
-    i = 0
-    while i < len(es) and i < len(eu) and es[i] == eu[i]:
-        i += 1
-    if i >= len(eu):
+    i = first_difference(es, eu)
+    if i == len(eu):
         return None
-    if i >= len(es):
-        return eu[i]
-    if es[i][0] != eu[i][0]:
+    if i == len(es) or es[i][0] != eu[i][0]:
         return eu[i]
     return None
 

@@ -72,6 +72,12 @@ class CheckReport:
             "errors": len(self.errors),
         }
 
+    def add(self, rec: StepRecord, s: fn.FloodState, u: fn.FloodState):
+        """Append a checked step; the first unsound or failed one is the counterexample."""
+        self.steps.append(rec)
+        if not rec.sound or rec.failures:
+            record_counterexample(self, rec, s, u)
+
     @property
     def ok(self) -> bool:
         return (

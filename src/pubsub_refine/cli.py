@@ -28,7 +28,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"PUBSUB_REFINE_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"PUBSUB_REFINE_SEED must be an integer, got {raw!r}") from None
 
 
 def _parse_weights(raw: str) -> dict[str, float]:
@@ -104,8 +104,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "fuzz":
-        seed = args.seed if args.seed is not None else _default_seed()
         try:
+            if args.traces < 1 or args.steps < 1:
+                raise ValueError("--traces and --steps must be at least 1")
+            seed = args.seed if args.seed is not None else _default_seed()
             weights = _parse_weights(args.weights)
             cfg = GeneratorConfig(
                 max_peers=args.max_peers,

@@ -3,15 +3,18 @@
 Every set in the model is a strictly ascending tuple and every finite map a
 tuple of (key, value) pairs with strictly ascending keys. With that
 representation, set and map equality reduce to plain sequence equality,
-which the witness functions and the refinement checkers rely on.
+which the witness functions and the refinement checkers rely on. Both
+models' states are a PeerMap, and every witness function walks two of them
+with first_difference.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 PeerId = int
 Topic = str
@@ -45,16 +48,6 @@ class Message:
     @classmethod
     def from_obj(cls, obj: dict) -> "Message":
         return cls(payload=obj["pld"], topic=obj["tp"], origin=obj["or"])
-
-
-def compare(a, b) -> int:
-    """Three-way comparison under the single total order used everywhere.
-
-    Works for peers (numeric), topics (lexicographic), messages
-    (field-wise lexicographic) and tuples of those (component-wise).
-    Both arguments must be values of the same kind.
-    """
-    return (a > b) - (a < b)
 
 
 def is_ascending(x: Sequence) -> bool:
@@ -122,6 +115,50 @@ def map_delete(entries: tuple[tuple[K, V], ...], key: K) -> tuple[tuple[K, V], .
 
 def map_keys(entries: tuple[tuple[K, V], ...]) -> tuple[K, ...]:
     return tuple(k for k, _ in entries)
+
+
+@dataclass(frozen=True)
+class PeerMap(Generic[V]):
+    """Finite map peer -> per-peer state with strictly ascending keys.
+
+    Both network models subclass it with their own peer type. Equality
+    compares the class too, so states of different models never compare
+    equal, even when both are empty.
+    """
+
+    entries: tuple[tuple[PeerId, V], ...] = ()
+
+    def get(self, p: PeerId) -> V | None:
+        return map_get(self.entries, p)
+
+    def keys(self) -> tuple[PeerId, ...]:
+        return map_keys(self.entries)
+
+    def __contains__(self, p: PeerId) -> bool:
+        return self.get(p) is not None
+
+    def with_peer(self, p: PeerId, pst: V):
+        return type(self)(map_set(self.entries, p, pst))
+
+    def without_peer(self, p: PeerId):
+        return type(self)(map_delete(self.entries, p))
+
+    def to_obj(self) -> dict:
+        return {"peers": {str(p): pst.to_obj() for p, pst in self.entries}}
+
+
+def first_difference(xs: Sequence[T], ys: Sequence[T], same: Callable[[T, T], bool] = operator.eq) -> int:
+    """The first position at which xs and ys disagree under same.
+
+    The witness functions walk two states' entries in lock step with it and
+    read a transition's arguments off the position it returns. When one
+    sequence is a prefix of the other (under same) the result is the length
+    of the shorter one, so callers test it against both lengths.
+    """
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if not same(x, y):
+            return i
+    return min(len(xs), len(ys))
 
 
 def canonical_json(obj) -> str:

@@ -188,6 +188,8 @@ class ExhaustiveReport:
 
 def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> ExhaustiveReport:
     """Cross-check relations, good-state preservation and obligations within bounds."""
+    if min(peers, topics, messages) < 0:
+        raise ValueError("bounds must be non-negative")
     estimate = estimate_flood_states(peers, topics, messages)
     if estimate > cap:
         raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from . import flood_model as fn
-from .checking import CheckReport, StepRecord, check_step, record_counterexample
+from .checking import CheckReport, StepRecord, check_step
 from .core import Message
 from .generate import GeneratorConfig
 from .refinement import WfsVerdict, combined_step, matching_step, refinement_map, related
@@ -63,10 +63,7 @@ def _report_for(fault: str) -> CheckReport:
             witness=corrupt,
             diagnostics="" if ok else "constructed match drops receiver 2",
         )
-        rec = StepRecord(0, "forward", fn.step_kinds(s, u), None, (verdict,), True)
-        report.steps.append(rec)
-        if rec.failures:
-            record_counterexample(report, rec, s, u)
+        report.add(StepRecord(0, "forward", fn.step_kinds(s, u), None, (verdict,), True), s, u)
         return report
 
     if fault == "skip-good-check":
@@ -74,10 +71,7 @@ def _report_for(fault: str) -> CheckReport:
         s = fn.FloodState(
             ((1, fn.FloodPeer(subs=("t0",), nsubs=(("t0", (1,)),))),)
         )
-        rec = check_step(0, s, s, "skip")
-        report.steps.append(rec)
-        if not rec.sound or rec.failures:
-            record_counterexample(report, rec, s, s)
+        report.add(check_step(0, s, s, "skip"), s, s)
         return report
 
     if fault == "forward-to-self":
@@ -87,10 +81,7 @@ def _report_for(fault: str) -> CheckReport:
         bad_u = good_u.with_peer(
             1, fn.FloodPeer(pst.pubs, pst.subs, pst.nsubs, (_M,), pst.seen)
         )
-        rec = check_step(0, s, bad_u, "forward")
-        report.steps.append(rec)
-        if not rec.sound or rec.failures:
-            record_counterexample(report, rec, s, bad_u)
+        report.add(check_step(0, s, bad_u, "forward"), s, bad_u)
         return report
 
     if fault == "leave-with-pending":
@@ -102,10 +93,7 @@ def _report_for(fault: str) -> CheckReport:
             )
         )
         u = fn.leave(1, s)
-        rec = check_step(0, s, u, "leave")
-        report.steps.append(rec)
-        if not rec.sound or rec.failures:
-            record_counterexample(report, rec, s, u)
+        report.add(check_step(0, s, u, "leave"), s, u)
         return report
 
     if fault in ("duplicate-seen", "unsorted-seen"):
@@ -113,10 +101,7 @@ def _report_for(fault: str) -> CheckReport:
         a, b = sorted([_M, m2])
         seen = (a, a) if fault == "duplicate-seen" else (b, a)
         s = fn.FloodState(((1, fn.FloodPeer(seen=seen)),))
-        rec = check_step(0, s, s, "skip")
-        report.steps.append(rec)
-        if not rec.sound or rec.failures:
-            record_counterexample(report, rec, s, s)
+        report.add(check_step(0, s, s, "skip"), s, s)
         return report
 
     raise ValueError(f"unknown fault {fault!r}; choose one of {', '.join(FAULTS)}")

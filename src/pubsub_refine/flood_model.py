@@ -12,12 +12,17 @@ pending set, so no in-flight message is lost. Leaving does not scrub the
 peer out of other peers' nsubs maps: forwarding simply skips neighbors
 that are no longer in the state.
 
-The witness functions here are deliberately coarser than their
-specification-side counterparts: subscribe/unsubscribe and join also touch
-*other* peers' nsubs maps, so the topics witness skips entries whenever
-key and subs agree, and the join witness compares keys only. The step
-cases still replay the recovered transition and demand exact equality, so
-the coarser witnesses cannot produce false positives.
+Every step case but skip walks the two states in lock step with
+first_difference, reads the transition's arguments off the first
+difference, replays that one transition and demands exact equality. The
+produced message heads the pending set of the first changed entry; the
+forwarded message is the first one that some pending set lost, since
+neighbors only gain messages. The topics and join walks are deliberately
+coarser than their specification-side counterparts: subscribe/unsubscribe
+and join also touch *other* peers' nsubs maps, so the topics walk skips
+entries whenever key and subs agree, and the join walk compares keys only.
+Replay equality still decides every case, so no witness can produce a
+false positive.
 """
 
 from __future__ import annotations
@@ -29,13 +34,14 @@ from .core import (
     ContractError,
     Message,
     PeerId,
+    PeerMap,
     Topic,
     difference,
+    first_difference,
     insert_unique,
     is_ascending,
     map_delete,
     map_get,
-    map_keys,
     map_set,
     ordered_set,
     union_sets,
@@ -66,29 +72,8 @@ class FloodPeer:
         }
 
 
-@dataclass(frozen=True)
-class FloodState:
+class FloodState(PeerMap[FloodPeer]):
     """Finite map peer -> FloodPeer with strictly ascending keys."""
-
-    entries: tuple[tuple[PeerId, FloodPeer], ...] = ()
-
-    def get(self, p: PeerId) -> FloodPeer | None:
-        return map_get(self.entries, p)
-
-    def keys(self) -> tuple[PeerId, ...]:
-        return map_keys(self.entries)
-
-    def __contains__(self, p: PeerId) -> bool:
-        return self.get(p) is not None
-
-    def with_peer(self, p: PeerId, pst: FloodPeer) -> "FloodState":
-        return FloodState(map_set(self.entries, p, pst))
-
-    def without_peer(self, p: PeerId) -> "FloodState":
-        return FloodState(map_delete(self.entries, p))
-
-    def to_obj(self) -> dict:
-        return {"peers": {str(p): pst.to_obj() for p, pst in self.entries}}
 
 
 def nsubs_topic(nsubs: TopicPeers, tp: Topic) -> tuple[PeerId, ...]:
@@ -287,10 +272,8 @@ def topics_witness(s: FloodState, u: FloodState) -> tuple[PeerId, tuple[Topic, .
     behalf of another peer's subscription change are ignored.
     """
     es, eu = s.entries, u.entries
-    i = 0
-    while i < len(es) and i < len(eu) and es[i][0] == eu[i][0] and es[i][1].subs == eu[i][1].subs:
-        i += 1
-    if i >= len(es) or i >= len(eu):
+    i = first_difference(es, eu, lambda a, b: a[0] == b[0] and a[1].subs == b[1].subs)
+    if i == len(es) or i == len(eu):
         return None
     (p, pst), (q, qst) = es[i], eu[i]
     if p != q:
@@ -302,12 +285,15 @@ def topics_witness(s: FloodState, u: FloodState) -> tuple[PeerId, tuple[Topic, .
 def join_witness(s: FloodState, u: FloodState) -> tuple[PeerId, FloodPeer] | None:
     """The peer entry present in u but not in s, comparing keys only."""
     es, eu = s.entries, u.entries
-    i = 0
-    while i < len(es) and i < len(eu) and es[i][0] == eu[i][0]:
-        i += 1
-    if i >= len(eu):
+    i = first_difference(es, eu, lambda a, b: a[0] == b[0])
+    if i == len(eu):
         return None
     return eu[i]
+
+
+def _keeps_pending(a, b) -> bool:
+    """Entries a and b have one key and b's pending set keeps all of a's."""
+    return a == b or (a[0] == b[0] and not difference(a[1].pending, b[1].pending))
 
 
 def self_tracking_violations(s: FloodState) -> tuple[PeerId, ...]:
@@ -332,33 +318,28 @@ def is_skip_step(s: FloodState, u: FloodState) -> bool:
     return u == s
 
 
-def _same_shape(s: FloodState, u: FloodState) -> bool:
-    """Keys and per-peer topic structure agree (produce/forward never change them)."""
-    if len(s.entries) != len(u.entries):
-        return False
-    return all(
-        p == q and pst.pubs == qst.pubs and pst.subs == qst.subs and pst.nsubs == qst.nsubs
-        for (p, pst), (q, qst) in zip(s.entries, u.entries)
-    )
-
-
 def is_produce_step(s: FloodState, u: FloodState) -> bool:
-    if not _same_shape(s, u):
+    """The produced message heads the pending set of the first changed entry."""
+    es, eu = s.entries, u.entries
+    i = first_difference(es, eu)
+    if i == len(es) or i == len(eu) or not eu[i][1].pending:
         return False
-    return any(
-        can_produce(m, s) and u == produce(m, s) for m in pending_messages(u)
-    )
+    m = eu[i][1].pending[0]
+    return can_produce(m, s) and u == produce(m, s)
 
 
 def is_forward_step(s: FloodState, u: FloodState) -> bool:
-    if not _same_shape(s, u):
+    """The forwarded message is the first one that some pending set lost.
+
+    A forward only adds to its neighbors' pending sets, so the forwarder is
+    the one peer that loses a pending message.
+    """
+    es, eu = s.entries, u.entries
+    i = first_difference(es, eu, _keeps_pending)
+    if i == len(es) or i == len(eu) or es[i][0] != eu[i][0]:
         return False
-    # forwarding only moves already-pending messages around
-    if not set(pending_messages(u)) <= set(pending_messages(s)):
-        return False
-    return any(
-        u == forward(find_forwarder(s, m), m, s) for m in pending_messages(s)
-    )
+    m = difference(es[i][1].pending, eu[i][1].pending)[0]
+    return u == forward(find_forwarder(s, m), m, s)
 
 
 def is_subscribe_step(s: FloodState, u: FloodState) -> bool:

@@ -9,6 +9,7 @@ arguments falls back to a skip, which is always enabled.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -48,6 +49,9 @@ class GeneratorConfig:
         unknown = set(self.weights) - set(fn.STEP_KINDS)
         if unknown:
             raise ValueError(f"unknown transition kinds in weights: {sorted(unknown)}")
+        bad = sorted(k for k, w in self.weights.items() if not 0 <= float(w) < math.inf)
+        if bad:
+            raise ValueError(f"weights must be finite and non-negative: {', '.join(bad)}")
         if not any(w > 0 for w in self.effective_weights().values()):
             raise ValueError("at least one transition weight must be positive")
 

@@ -6,7 +6,7 @@ import random
 import time
 
 from . import flood_model as fn
-from .checking import CheckReport, StepRecord, check_step, check_trace_refinement, record_counterexample
+from .checking import CheckReport, StepRecord, check_step, check_trace_refinement
 from .generate import GeneratorConfig, gen_enabled_transition, gen_good_state
 from .scenario import load_scenario
 from .trace import apply_event, run_trace
@@ -26,17 +26,12 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
     for _ in range(traces):
         s = gen_good_state(cfg, rng)
         if not fn.is_good_state(s):
-            rec = StepRecord(index, "init", (), None, (), False, ("generated state is not good",))
-            report.steps.append(rec)
-            record_counterexample(report, rec, s, s)
+            report.add(StepRecord(index, "init", (), None, (), False, ("generated state is not good",)), s, s)
             continue
         for _ in range(cfg.steps):
             ev = gen_enabled_transition(s, cfg, rng, index=index)
             u = apply_event(s, ev)
-            rec = check_step(index, s, u, ev.kind)
-            report.steps.append(rec)
-            if not rec.sound or rec.failures:
-                record_counterexample(report, rec, s, u)
+            report.add(check_step(index, s, u, ev.kind), s, u)
             s = u
             index += 1
     report.elapsed_seconds = time.monotonic() - start

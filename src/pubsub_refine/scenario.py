@@ -41,10 +41,14 @@ def _parse_topic(obj, path) -> str:
     return obj
 
 
-def _parse_peer_id(obj, path) -> int:
+def _parse_natural(obj, what: str, path) -> int:
     _require(isinstance(obj, int) and not isinstance(obj, bool) and obj >= 0,
-             "peer id must be a non-negative integer", path)
+             f"{what} must be a non-negative integer", path)
     return obj
+
+
+def _parse_peer_id(obj, path) -> int:
+    return _parse_natural(obj, "peer id", path)
 
 
 def _parse_message(obj, path) -> Message:
@@ -108,7 +112,8 @@ def parse_state(obj, path: str = "state") -> fn.FloodState:
     entries = []
     for key, pst_obj in peers_obj.items():
         peer_path = f"{path}.peers.{key}"
-        _require(isinstance(key, str) and key.isdigit(), "peer key must be a numeric string", peer_path)
+        _require(isinstance(key, str) and key.isascii() and key.isdigit(),
+                 "peer key must be a string of ASCII digits", peer_path)
         p = int(key)
         entries.append((p, _parse_peer_state(p, pst_obj, peer_path)))
     entries.sort(key=lambda e: e[0])
@@ -149,7 +154,7 @@ def _parse_event(obj, index: int, path: str) -> TraceEvent:
     nbrs = tuple(_parse_peer_id(q, f"{path}.nbrs[{i}]") for i, q in enumerate(nbrs_obj))
     _require(is_ascending(nbrs), "nbrs must be strictly ascending", f"{path}.nbrs")
     return TraceEvent(
-        index=int(obj.get("index", index)),
+        index=_parse_natural(obj.get("index", index), "event index", f"{path}.index"),
         kind=kind,
         peer=peer,
         message=message,

@@ -105,3 +105,30 @@ def test_mutate_unknown_fault_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mutate", "--fault", "gremlin"])
     assert exc.value.code == 2
+
+
+def assert_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_seed_env_var_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("PUBSUB_REFINE_SEED", "abc")
+    assert_usage_error(["fuzz", "--traces", "1", "--steps", "1"], capsys)
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "-5", "-inf"])
+def test_fuzz_rejects_weights_that_are_not_finite_and_non_negative(weight, capsys):
+    assert_usage_error(["fuzz", "--weights", f"forward={weight}"], capsys)
+
+
+@pytest.mark.parametrize("bounds", [("-1", "1", "0"), ("1", "-1", "0"), ("1", "1", "-1")])
+def test_enumerate_rejects_negative_bounds(bounds, capsys):
+    peers, topics, messages = bounds
+    assert_usage_error(["enumerate", "--peers", peers, "--topics", topics, "--messages", messages], capsys)
+
+
+@pytest.mark.parametrize("flags", [["--traces", "0"], ["--traces", "-1"], ["--steps", "0"]])
+def test_fuzz_that_checks_nothing_is_a_usage_error(flags, capsys):
+    assert_usage_error(["fuzz", *flags], capsys)

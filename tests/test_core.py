@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pubsub_refine.core import (
     Message,
-    compare,
     difference,
     insert_unique,
     is_ascending,
@@ -23,30 +22,31 @@ M3 = Message("b", "t1", 5)
 
 
 def test_compare_peers_numeric():
-    assert compare(1, 2) == -1
-    assert compare(2, 1) == 1
+    assert 1 < 2
+    assert not 2 < 1
 
 
 def test_compare_reflexive():
-    assert compare(M1, M1) == 0
+    assert M1 == M1
+    assert not M1 < M1
 
 
 def test_compare_messages_fieldwise():
     # oracle: field-wise lexicographic comparison evaluated by hand
-    assert compare(M1, M2) == -1  # origins 5 < 7
-    assert compare(M1, M3) == -1  # payloads 'a' < 'b'
-    assert compare(M3, M2) == 1
+    assert M1 < M2  # origins 5 < 7
+    assert M1 < M3  # payloads 'a' < 'b'
+    assert M2 < M3 and not M3 < M2
 
 
 def test_compare_strict_weak_order_exhaustive():
     pool = [Message("a", "t", 0), Message("b", "t", 0), Message("b", "u", 0), Message("b", "u", 3)]
     pool += [Message("a", "t", 0), Message("c", "a", 9)]  # includes a duplicate value
     for a, b, c in itertools.product(pool, repeat=3):
-        # antisymmetry and totality
-        assert compare(a, b) == -compare(b, a)
+        # trichotomy: exactly one of a < b, a == b, b < a
+        assert [a < b, a == b, b < a].count(True) == 1
         # transitivity
-        if compare(a, b) <= 0 and compare(b, c) <= 0:
-            assert compare(a, c) <= 0
+        if (a < b or a == b) and (b < c or b == c):
+            assert a < c or a == c
 
 
 def test_insert_unique_empty():

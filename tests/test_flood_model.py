@@ -346,3 +346,54 @@ def test_step_subscribe_with_mixed_topics_round_trips():
 def test_ordered_set_normalizes_join_args():
     s = state(**{"1": peer(subs=["t1"])})
     assert join(2, ("t2", "t1", "t2"), (), (), s).get(2).pubs == ordered_set(("t1", "t2"))
+
+
+# Witness edge cases: each accepted pair is accepted by is_step and
+# classified by step_kinds as exactly the kind that produced it.
+
+
+def assert_only_kind(kind, s, u):
+    assert is_step(s, u)
+    assert step_kinds(s, u) == (kind,)
+
+
+def test_forward_witness_forwarder_above_receiver():
+    s = state(**{"1": peer(subs=["t1"]), "3": peer(nsubs={"t1": (1,)}, pending=[M])})
+    u = forward(3, M, s)
+    assert u.get(1).pending == (M,)  # the first changed entry gained, not lost
+    assert_only_kind("forward", s, u)
+
+
+def test_forward_witness_message_behind_pending_head():
+    s = state(**{"1": peer(nsubs={"t1": (2,)}, pending=[M2, M]), "2": peer(subs=["t1"])})
+    u = forward(1, M, s)
+    assert u.get(1).pending == (M2,)
+    assert_only_kind("forward", s, u)
+
+
+def test_forward_witness_message_pending_at_two_peers():
+    s = state(
+        **{
+            "1": peer(nsubs={"t1": (3,)}, pending=[M]),
+            "2": peer(nsubs={"t1": (3,)}, pending=[M]),
+            "3": peer(subs=["t1"]),
+        }
+    )
+    assert find_forwarder(s, M) == 1
+    assert_only_kind("forward", s, forward(1, M, s))
+    # only the designated (lowest-key) forwarder may forward it
+    assert not is_step(s, forward(2, M, s))
+    assert step_kinds(s, forward(2, M, s)) == ()
+
+
+def test_produce_witness_origin_not_first_peer():
+    m = Message("z", "t1", 2)
+    s = state(**{"1": peer(subs=["t1"], pending=[M2]), "2": peer(pubs=["t1"])})
+    assert_only_kind("produce", s, produce(m, s))
+
+
+def test_forward_witness_rejects_two_peers_losing_messages():
+    s = state(**{"1": peer(pending=[M]), "2": peer(pending=[M2])})
+    u = forward(2, M2, forward(1, M, s))
+    assert not is_step(s, u)
+    assert step_kinds(s, u) == ()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pubsub_refine.cli import main
 from pubsub_refine.core import Message
 from pubsub_refine.flood_model import FloodPeer, FloodState
 from pubsub_refine.scenario import ScenarioError, emit_scenario, parse_scenario, parse_state
@@ -110,3 +111,29 @@ def test_events_parse_fields():
 def test_parse_state_rejects_non_object():
     with pytest.raises(ScenarioError):
         parse_state([], "state")
+
+
+def assert_rejected_at(document: str, path: str, tmp_path):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(document)
+    assert err.value.path == path
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(document, encoding="utf-8")
+    assert main(["run", str(scenario)]) == 2
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "\u0663", "-1", ""])
+def test_rejects_peer_key_that_is_not_ascii_digits(key, tmp_path):
+    # "\u00b2" (superscript two) and "\u0663" (Arabic-Indic three) pass
+    # str.isdigit but are not peer ids
+    assert_rejected_at(doc({"peers": {key: {}}}), f"state.peers.{key}", tmp_path)
+
+
+@pytest.mark.parametrize("index", ["abc", "3", True, -1, 1.5, None])
+def test_rejects_event_index_that_is_not_a_natural_number(index, tmp_path):
+    assert_rejected_at(doc(events=[{"kind": "skip", "index": index}]), "events[0].index", tmp_path)
+
+
+def test_accepts_explicit_event_index():
+    _, events = parse_scenario(doc(events=[{"kind": "skip", "index": 7}]))
+    assert events[0].index == 7
