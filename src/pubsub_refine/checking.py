@@ -15,7 +15,6 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from . import broadcast_model as bn
 from . import flood_model as fn
 from .refinement import WfsVerdict, check_wfs1, check_wfs2, check_wfs3, refinement_map
 
@@ -97,45 +96,31 @@ class CheckReport:
         }
 
 
-def _dump_pair(s: fn.FloodState, u: fn.FloodState, extra: dict | None = None) -> dict:
-    w = refinement_map(s)
-    obj = {
-        "s": s.to_obj(),
-        "u": u.to_obj(),
-        "w": w.to_obj(),
-    }
-    if extra:
-        obj.update(extra)
-    return obj
-
-
 def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str = "?") -> StepRecord:
-    """Check one trace step: soundness, the three obligations, and the match."""
+    """Check one trace step: soundness, the three obligations, and the match.
+
+    The good-state checks, the flood classification and the image of s are
+    decided once and shared; the match is read off the WFS3 verdict.
+    """
     issues = []
-    if not fn.is_good_state(s):
-        issues.append(f"pre-state violates good-state invariants at peers "
-                      f"{fn.self_tracking_violations(s) + fn.unordered_seen_violations(s)}")
-    if not fn.is_good_state(u):
-        issues.append(f"post-state violates good-state invariants at peers "
-                      f"{fn.self_tracking_violations(u) + fn.unordered_seen_violations(u)}")
+    good_s, good_u = fn.is_good_state(s), fn.is_good_state(u)
+    for tag, x, good in (("pre", s, good_s), ("post", u, good_u)):
+        if not good:
+            issues.append(f"{tag}-state violates good-state invariants at peers "
+                          f"{fn.self_tracking_violations(x) + fn.unordered_seen_violations(x)}")
     flood_matches = fn.step_kinds(s, u)
     if not flood_matches:
         issues.append("no flood transition relates the states")
 
     w = refinement_map(s)
-    v1 = check_wfs1(s)
-    v2 = check_wfs2(s, w)
-    v3 = check_wfs3(s, w, u)
-    bn_match = None
-    if v3.passed and v3.witness is not None:
-        kinds = bn.step_kinds(w, v3.witness)
-        bn_match = kinds[0] if kinds else None
+    # combined_step_kinds(s, u), read off the one flood classification
+    v3 = check_wfs3(s, w, u, flood_matches if good_s and good_u else ())
     return StepRecord(
         index=index,
         kind=kind,
         flood_matches=flood_matches,
-        bn_match=bn_match,
-        verdicts=(v1, v2, v3),
+        bn_match=v3.match,
+        verdicts=(check_wfs1(s), check_wfs2(s, w), v3),
         sound=not issues,
         soundness_issues=tuple(issues),
     )
@@ -147,11 +132,12 @@ def record_counterexample(report: CheckReport, rec: StepRecord, s: fn.FloodState
         return
     reasons = list(rec.soundness_issues)
     reasons += [f"{v.obligation}: {v.diagnostics}" for v in rec.failures]
-    extra: dict = {"step": rec.index, "reasons": reasons}
+    dump = {"s": s.to_obj(), "u": u.to_obj(), "w": refinement_map(s).to_obj(),
+            "step": rec.index, "reasons": reasons}
     for v in rec.verdicts:
         if v.witness is not None:
-            extra["v"] = v.witness.to_obj()
-    report.counterexample = _dump_pair(s, u, extra)
+            dump["v"] = v.witness.to_obj()
+    report.counterexample = dump
 
 
 def emit_report(report: CheckReport) -> str:

@@ -206,24 +206,25 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
     for s in flood_states:
         succs = flood_successors(s, peer_pool, topic_pool, msg_pool)
         flood_succ.append({u for _, u in succs})
-        good = fn.is_good_state(s)
+        report.successors_checked += len(succs)
+        if not fn.is_good_state(s):
+            continue
+        w = refinement_map(s)
         for kind, u in succs:
-            report.successors_checked += 1
-            if good and not fn.is_good_state(u):
+            if not fn.is_good_state(u):
                 report.discrepancies.append(
                     {"check": "good-state-preservation", "kind": kind,
                      "s": s.to_obj(), "u": u.to_obj()}
                 )
-            if good and fn.is_good_state(u):
-                w = refinement_map(s)
-                for verdict in (check_wfs1(s), check_wfs2(s, w), check_wfs3(s, w, u)):
-                    report.obligations_checked += 1
-                    if verdict.applicable and not verdict.passed:
-                        report.discrepancies.append(
-                            {"check": verdict.obligation, "kind": kind,
-                             "diagnostics": verdict.diagnostics,
-                             "s": s.to_obj(), "u": u.to_obj()}
-                        )
+                continue
+            for verdict in (check_wfs1(s), check_wfs2(s, w), check_wfs3(s, w, u, fn.step_kinds(s, u))):
+                report.obligations_checked += 1
+                if verdict.applicable and not verdict.passed:
+                    report.discrepancies.append(
+                        {"check": verdict.obligation, "kind": kind,
+                         "diagnostics": verdict.diagnostics,
+                         "s": s.to_obj(), "u": u.to_obj()}
+                    )
     for i, s in enumerate(flood_states):
         succ = flood_succ[i]
         for u in flood_states:

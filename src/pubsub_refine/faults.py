@@ -14,7 +14,7 @@ from . import flood_model as fn
 from .checking import CheckReport, StepRecord, check_step
 from .core import Message
 from .generate import GeneratorConfig
-from .refinement import WfsVerdict, combined_step, matching_step, refinement_map, related
+from .refinement import check_match, matching_step, refinement_map
 from .runner import fuzz_run
 
 FAULTS = (
@@ -51,19 +51,12 @@ def _report_for(fault: str) -> CheckReport:
 
     if fault == "drop-receiver":
         # a buggy matching-step constructor that loses one receiver of the
-        # partial broadcast; the constructive WFS3 validation must object
+        # partial broadcast; WFS3's validation of its witness must object
         s, u = _flood_pair()
         w = refinement_map(s)
-        v = matching_step(s, u, w)
-        corrupt = v.with_peer(2, w.get(2))
-        ok = combined_step(w, corrupt) and related(u, corrupt)
-        verdict = WfsVerdict(
-            "WFS3",
-            ok,
-            witness=corrupt,
-            diagnostics="" if ok else "constructed match drops receiver 2",
-        )
-        report.add(StepRecord(0, "forward", fn.step_kinds(s, u), None, (verdict,), True), s, u)
+        corrupt = matching_step(s, u, w).with_peer(2, w.get(2))
+        verdict = check_match(s, u, w, corrupt)
+        report.add(StepRecord(0, "forward", fn.step_kinds(s, u), verdict.match, (verdict,), True), s, u)
         return report
 
     if fault == "skip-good-check":

@@ -12,11 +12,12 @@ concrete states:
   WFS1  every good flood state is related to its mapped state,
   WFS2  related states carry the same label,
   WFS3  every step from s to u is matched by a step from any related w to
-        some v related to u. The matching v is constructed, not searched
-        for: a flood step that empties a message's last pending copy maps
-        to a partial broadcast to exactly the peers that end up having
-        seen the message; every other flood step maps to the image of u
-        (a skip when the image did not move).
+        some v related to u. The matching v is built from the step's one
+        classification, not searched for or replayed: a forward that
+        empties a message's last pending copy maps to a partial broadcast
+        to exactly the peers that end up having seen the message; every
+        other flood step maps to the image of u (a skip when the image did
+        not move). The first case of w's step to v is the step's match.
 
 A failed verdict is a counterexample to the refinement theorem and carries
 the offending states in its diagnostics.
@@ -68,48 +69,50 @@ def related(x: Borf, y: Borf) -> bool:
     return wf_related(x, y) or x == y
 
 
-def good_flood_step(s: fn.FloodState, u: fn.FloodState) -> bool:
-    return fn.is_good_state(s) and fn.is_good_state(u) and fn.is_step(s, u)
+def combined_step_kinds(s: Borf, u: Borf) -> tuple[str, ...]:
+    """Flood kinds between good flood states, spec kinds between broadcast states, else ()."""
+    if isinstance(s, fn.FloodState) and isinstance(u, fn.FloodState):
+        return fn.step_kinds(s, u) if fn.is_good_state(s) and fn.is_good_state(u) else ()
+    if isinstance(s, bn.BroadcastState) and isinstance(u, bn.BroadcastState):
+        return bn.step_kinds(s, u)
+    return ()
 
 
 def combined_step(s: Borf, u: Borf) -> bool:
     """Step relation of the combined system; mixed tags never step."""
-    if isinstance(s, fn.FloodState) and isinstance(u, fn.FloodState):
-        return good_flood_step(s, u)
-    if isinstance(s, bn.BroadcastState) and isinstance(u, bn.BroadcastState):
-        return bn.is_step(s, u)
-    return False
+    return bool(combined_step_kinds(s, u))
 
 
 def matching_step(s: Borf, u: Borf, w: Borf) -> Borf:
     """The constructed v with combined_step(w, v) and related(u, v).
 
-    Requires related(s, w) and combined_step(s, u). When w lives on the
-    broadcast side and the step is a flood step, the match is built by
-    _matching_flood_step; in every other case w equals s and can take the
-    very same step to u.
+    Requires related(s, w) and combined_step(s, u).
     """
     if not related(s, w):
         raise ContractError("matching-step: s and w are not related")
-    if not combined_step(s, u):
+    kinds = combined_step_kinds(s, u)
+    if not kinds:
         raise ContractError("matching-step: s does not step to u")
-    if isinstance(w, bn.BroadcastState) and isinstance(s, fn.FloodState):
-        return _matching_flood_step(s, u)
-    return u
+    return _match(s, u, w, kinds)
 
 
-def _matching_flood_step(s: fn.FloodState, u: fn.FloodState) -> bn.BroadcastState:
-    if fn.is_skip_step(s, u):
-        return refinement_map(s)
-    ms, mu = refinement_map(s), refinement_map(u)
-    if fn.is_forward_step(s, u) and ms != mu:
-        m = bn.message_witness(ms, mu)
-        if m is None:
-            raise ContractError(
-                "matching-step: forward changed the mapped state without a witness message"
-            )
-        return bn.broadcast_partial(m, bn.message_receivers(m, mu), ms)
-    return mu
+def _match(s: Borf, u: Borf, w: Borf, kinds: tuple[str, ...]) -> Borf:
+    """The match of the step s -> u classified as kinds; replays nothing.
+
+    Unless s is a flood state and w its image, w equals s and takes the
+    very same step to u.
+    """
+    if not (isinstance(s, fn.FloodState) and isinstance(w, bn.BroadcastState)):
+        return u
+    if "skip" in kinds:
+        return w
+    mu = refinement_map(u)
+    if "forward" not in kinds or w == mu:
+        return mu
+    m = bn.message_witness(w, mu)
+    if m is None:
+        raise ContractError("matching-step: forward changed the mapped state without a witness message")
+    return bn.broadcast_partial(m, bn.message_receivers(m, mu), w)
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ class WfsVerdict:
     A verdict whose precondition failed is marked not applicable and never
     counts as a pass. Failed verdicts carry the violated conjunct and the
     states involved in diagnostics; WFS3 verdicts carry the constructed
-    matching state as witness.
+    matching state as witness, and passing ones its first step case as match.
     """
 
     obligation: str
@@ -127,6 +130,7 @@ class WfsVerdict:
     applicable: bool = True
     witness: object = None
     diagnostics: str = ""
+    match: str | None = None
 
     def to_obj(self) -> dict:
         status = "pass" if self.passed else "fail"
@@ -161,14 +165,14 @@ def check_wfs2(s: Borf, w: Borf) -> WfsVerdict:
     return WfsVerdict("WFS2", ok, diagnostics=diag)
 
 
-def check_wfs3(s: Borf, w: Borf, u: Borf) -> WfsVerdict:
-    """Each step s -> u is matched by w -> v with u related to v."""
+def check_wfs3(s: Borf, w: Borf, u: Borf, kinds: tuple[str, ...]) -> WfsVerdict:
+    """Each step s -> u is matched by w -> v with u related to v; kinds is combined_step_kinds(s, u)."""
     if not related(s, w):
         return WfsVerdict("WFS3", False, applicable=False, diagnostics="states are not related")
-    if not combined_step(s, u):
+    if not kinds:
         return WfsVerdict("WFS3", False, applicable=False, diagnostics="s does not step to u")
     try:
-        v = matching_step(s, u, w)
+        v = _match(s, u, w, kinds)
     except ContractError as e:
         return WfsVerdict(
             "WFS3",
@@ -176,8 +180,14 @@ def check_wfs3(s: Borf, w: Borf, u: Borf) -> WfsVerdict:
             diagnostics=f"matching step construction failed: {e}; "
             f"{_dump('s', s)}; {_dump('u', u)}; {_dump('w', w)}",
         )
+    return check_match(s, u, w, v)
+
+
+def check_match(s: Borf, u: Borf, w: Borf, v: Borf) -> WfsVerdict:
+    """Validate the WFS3 witness v of the step s -> u: w steps to v and u is related to v."""
+    kinds = combined_step_kinds(w, v)
     failures = []
-    if not combined_step(w, v):
+    if not kinds:
         failures.append("w does not step to v")
     if not related(u, v):
         failures.append("u and v are not related")
@@ -187,4 +197,4 @@ def check_wfs3(s: Borf, w: Borf, u: Borf) -> WfsVerdict:
             f"{_dump('s', s)}; {_dump('u', u)}; {_dump('w', w)}; {_dump('v', v)}"
         )
         return WfsVerdict("WFS3", False, witness=v, diagnostics=diag)
-    return WfsVerdict("WFS3", True, witness=v)
+    return WfsVerdict("WFS3", True, witness=v, match=kinds[0])

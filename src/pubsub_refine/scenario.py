@@ -114,7 +114,10 @@ def parse_state(obj, path: str = "state") -> fn.FloodState:
         peer_path = f"{path}.peers.{key}"
         _require(isinstance(key, str) and key.isascii() and key.isdigit(),
                  "peer key must be a string of ASCII digits", peer_path)
-        p = int(key)
+        try:
+            p = int(key)
+        except ValueError as e:  # more digits than int() converts
+            raise ScenarioError(str(e), peer_path) from e
         entries.append((p, _parse_peer_state(p, pst_obj, peer_path)))
     entries.sort(key=lambda e: e[0])
     ids = [p for p, _ in entries]
@@ -173,6 +176,8 @@ def parse_scenario(document: str) -> tuple[fn.FloodState, list[TraceEvent]]:
         obj = json.loads(document)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON: {e.msg}", f"line {e.lineno} column {e.colno}") from e
+    except (RecursionError, ValueError) as e:  # nesting or integer beyond the decoder's limits
+        raise ScenarioError(f"invalid JSON: {e}", "$") from e
     _require(isinstance(obj, dict), "document must be an object", "$")
     extra = set(obj) - {"state", "events"}
     _require(not extra, f"unknown document fields {sorted(extra)}", "$")
@@ -193,4 +198,8 @@ def emit_scenario(state: fn.FloodState, events) -> str:
 
 def load_scenario(path) -> tuple[fn.FloodState, list[TraceEvent]]:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_scenario(f.read())
+        try:
+            document = f.read()
+        except UnicodeDecodeError as e:
+            raise ScenarioError(f"file is not UTF-8: {e.reason}", f"byte {e.start}") from e
+    return parse_scenario(document)

@@ -1,3 +1,8 @@
+from collections import Counter
+
+import pytest
+
+from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
 from pubsub_refine.checking import check_step, check_trace_refinement
 from pubsub_refine.core import Message
@@ -74,3 +79,30 @@ def test_fuzz_report_shape_and_determinism():
     assert oa == ob
     assert oa["config"]["seed"] == 12
     assert oa["totals"]["steps"] == 15
+
+
+@pytest.mark.parametrize(
+    "receiver, match",
+    [
+        (fn.FloodPeer(subs=("t1",)), "skip"),
+        (fn.FloodPeer(seen=(M,)), "broadcast-partial"),  # the forward floods the last copy
+    ],
+)
+def test_check_step_classifies_a_forward_once(monkeypatch, receiver, match):
+    s = flood([(1, fn.FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),), pending=(M,))), (2, receiver)])
+    u = fn.forward(1, M, s)
+    calls = Counter()
+    counted = ((fn, "step_kinds"), (bn, "step_kinds"), (fn, "is_step"), (bn, "is_step"), (fn, "forward"))
+    for module, name in counted:
+        def counting(*args, _f=getattr(module, name), _key=f"{module.__name__}.{name}"):
+            calls[_key] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    rec = check_step(0, s, u, "forward")
+    assert rec.bn_match == match and all(v.passed for v in rec.verdicts)
+    assert calls["pubsub_refine.flood_model.step_kinds"] == 1
+    assert calls["pubsub_refine.broadcast_model.step_kinds"] == 1
+    assert calls["pubsub_refine.flood_model.is_step"] == 0
+    assert calls["pubsub_refine.broadcast_model.is_step"] == 0
+    assert calls["pubsub_refine.flood_model.forward"] <= 1

@@ -132,3 +132,15 @@ def test_enumerate_rejects_negative_bounds(bounds, capsys):
 @pytest.mark.parametrize("flags", [["--traces", "0"], ["--traces", "-1"], ["--steps", "0"]])
 def test_fuzz_that_checks_nothing_is_a_usage_error(flags, capsys):
     assert_usage_error(["fuzz", *flags], capsys)
+
+
+def test_run_rejects_json_nested_beyond_the_decoder(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert_usage_error(["run", str(deep)], capsys)
+
+
+def test_run_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'{"state": {"peers": {}}, "events": [\xff]}')
+    assert_usage_error(["run", str(bad)], capsys)

@@ -64,7 +64,7 @@ def test_forward_successors_pass_wfs3():
         for kind, u in flood_successors(s, peer_pool, topic_pool, msg_pool):
             if kind != "forward" or not fn.is_good_state(u):
                 continue
-            verdict = check_wfs3(s, refinement_map(s), u)
+            verdict = check_wfs3(s, refinement_map(s), u, fn.step_kinds(s, u))
             assert verdict.applicable and verdict.passed, verdict.diagnostics
             checked += 1
     assert checked > 50

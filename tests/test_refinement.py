@@ -4,10 +4,12 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
 from pubsub_refine.core import ContractError, Message, difference
 from pubsub_refine.refinement import (
+    check_match,
     check_wfs1,
     check_wfs2,
     check_wfs3,
     combined_step,
+    combined_step_kinds,
     label,
     matching_step,
     refinement_map,
@@ -172,7 +174,7 @@ def test_wfs2():
 def test_wfs3_pass_and_witness():
     s = fstate(**{"1": fpeer(nsubs={"t1": (2,)}, pending=[M]), "2": fpeer(subs=["t1"])})
     u = fn.forward(1, M, s)
-    verdict = check_wfs3(s, refinement_map(s), u)
+    verdict = check_wfs3(s, refinement_map(s), u, combined_step_kinds(s, u))
     assert verdict.passed
     assert verdict.witness == refinement_map(u)
 
@@ -180,7 +182,7 @@ def test_wfs3_pass_and_witness():
 def test_wfs3_not_applicable():
     s = fstate(**{"1": fpeer()})
     u = fstate(**{"2": fpeer()})  # not a step
-    verdict = check_wfs3(s, refinement_map(s), u)
+    verdict = check_wfs3(s, refinement_map(s), u, combined_step_kinds(s, u))
     assert not verdict.applicable
 
 
@@ -192,6 +194,8 @@ def test_wfs3_detects_corrupt_witness():
     v = matching_step(s, u, w)
     corrupt = v.with_peer(2, w.get(2))  # drop one receiver
     assert not (combined_step(w, corrupt) and related(u, corrupt))
+    assert not check_match(s, u, w, corrupt).passed
+    assert check_match(s, u, w, v).match == "broadcast-partial"
 
 
 def test_forward_preserving_pending_preserves_map():

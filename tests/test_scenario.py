@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubsub_refine.cli import main
 from pubsub_refine.core import Message
@@ -129,6 +131,11 @@ def test_rejects_peer_key_that_is_not_ascii_digits(key, tmp_path):
     assert_rejected_at(doc({"peers": {key: {}}}), f"state.peers.{key}", tmp_path)
 
 
+def test_rejects_peer_key_with_more_digits_than_int_converts(tmp_path):
+    key = "1" * 5000
+    assert_rejected_at(doc({"peers": {key: {}}}), f"state.peers.{key}", tmp_path)
+
+
 @pytest.mark.parametrize("index", ["abc", "3", True, -1, 1.5, None])
 def test_rejects_event_index_that_is_not_a_natural_number(index, tmp_path):
     assert_rejected_at(doc(events=[{"kind": "skip", "index": index}]), "events[0].index", tmp_path)
@@ -137,3 +144,81 @@ def test_rejects_event_index_that_is_not_a_natural_number(index, tmp_path):
 def test_accepts_explicit_event_index():
     _, events = parse_scenario(doc(events=[{"kind": "skip", "index": 7}]))
     assert events[0].index == 7
+
+
+# Property: parse_scenario either parses a document or raises ScenarioError;
+# any other exception fails the test.
+
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+keys = st.text(max_size=5)  # JSON object keys are strings
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=10,
+)
+wrong_values = scalars | st.just([]) | st.just({}) | st.lists(scalars, max_size=2)
+
+
+def near(*valid, values=wrong_values):
+    """Usually one of the valid values, sometimes a value of another shape."""
+    return st.sampled_from(valid) | st.sampled_from(valid) | values
+
+
+topic_lists = near([], ["t1"], ["t1", "t2"], ["t2", "t1"], ["t1", "t1"], [""])
+messages = st.one_of(
+    st.fixed_dictionaries({"pld": near("x"), "tp": near("t1"), "or": near(0, 1, -1)}),
+    wrong_values,
+)
+message_lists = st.lists(messages, max_size=3) | wrong_values
+peers = st.fixed_dictionaries(
+    {},
+    optional={
+        "pubs": topic_lists,
+        "subs": topic_lists,
+        "nsubs": st.one_of(
+            st.dictionaries(near("t1", "", values=keys), near([1], [2, 1], [0], ["1"]), max_size=2),
+            wrong_values,
+        ),
+        "pending": message_lists,
+        "seen": message_lists,
+    },
+)
+events = st.fixed_dictionaries(
+    {"kind": near("skip", "produce", "forward", "subscribe", "unsubscribe", "join", "leave")},
+    optional={
+        "peer": near(0, 1, -1),
+        "message": messages,
+        "topics": topic_lists,
+        "pubs": topic_lists,
+        "subs": topic_lists,
+        "nbrs": near([], [0, 1], [1, 0]),
+        "index": near(0, 7, -1),
+        "pre_digest": wrong_values,
+    },
+)
+peer_keys = near("0", "1", "2", "x", "-1", values=keys)
+documents = st.fixed_dictionaries(
+    {
+        "state": st.fixed_dictionaries({"peers": st.dictionaries(peer_keys, peers | wrong_values, max_size=3)}),
+        "events": st.lists(events | wrong_values, max_size=4),
+    }
+)
+
+
+def assert_parses_or_rejects(document: str):
+    try:
+        parse_scenario(document)
+    except ScenarioError:
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(json_values)
+def test_arbitrary_json_raises_only_scenario_error(value):
+    assert_parses_or_rejects(json.dumps(value))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(documents)
+def test_documents_around_a_valid_skeleton_raise_only_scenario_error(document):
+    assert_parses_or_rejects(json.dumps(document))
