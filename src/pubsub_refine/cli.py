@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 when every obligation passes, 1 when a counterexample was
-found, 2 for usage or input errors. PUBSUB_REFINE_SEED supplies the
-default seed.
+found, 2 for usage or input errors (an unwritable --report path included,
+refused before any checking), 3 for an internal error of the checker
+itself, so that 1 always means a counterexample. PUBSUB_REFINE_SEED
+supplies the default seed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .scenario import ScenarioError
 from .trace import TraceError
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _default_seed() -> int:
@@ -42,6 +45,18 @@ def _parse_weights(raw: str) -> dict[str, float]:
         kind, value = item.split("=", 1)
         weights[kind.strip()] = float(value)
     return weights
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a report cannot be written to path, or None; creates nothing."""
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return f"no directory {parent}"
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return "permission denied"
+    return None
 
 
 def _write_report(report, path: str | None):
@@ -102,6 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as e:  # the CLI boundary: exit 1 must only ever mean a counterexample
+        message = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
+
+
+def _run(args) -> int:
+    problem = getattr(args, "report", None) and _unwritable(args.report)
+    if problem:
+        print(f"error: cannot write report {args.report}: {problem}", file=sys.stderr)
+        return USAGE_ERROR
 
     if args.command == "fuzz":
         try:

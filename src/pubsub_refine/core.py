@@ -124,9 +124,25 @@ class PeerMap(Generic[V]):
     Both network models subclass it with their own peer type. Equality
     compares the class too, so states of different models never compare
     equal, even when both are empty.
+
+    A state is immutable, so every fact derived from it (its hash, whether
+    it is good, its digest) is decided once and kept on the object by memo.
+    The kept facts are not fields: equality, repr and to_obj never see them.
     """
 
     entries: tuple[tuple[PeerId, V], ...] = ()
+
+    def __hash__(self) -> int:
+        # every cache lookup hashes the state; hashing the entries would
+        # rehash each nested peer state every time
+        return self.memo("hash", _hash_entries)
+
+    def memo(self, fact: str, decide: Callable[["PeerMap"], T]) -> T:
+        """decide(self), decided on the first call for this object and kept on it."""
+        facts = self.__dict__
+        if fact not in facts:
+            facts[fact] = decide(self)
+        return facts[fact]
 
     def get(self, p: PeerId) -> V | None:
         return map_get(self.entries, p)
@@ -145,6 +161,10 @@ class PeerMap(Generic[V]):
 
     def to_obj(self) -> dict:
         return {"peers": {str(p): pst.to_obj() for p, pst in self.entries}}
+
+
+def _hash_entries(s: PeerMap) -> int:
+    return hash(s.entries)
 
 
 def first_difference(xs: Sequence[T], ys: Sequence[T], same: Callable[[T, T], bool] = operator.eq) -> int:

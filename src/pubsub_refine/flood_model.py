@@ -307,7 +307,14 @@ def unordered_seen_violations(s: FloodState) -> tuple[PeerId, ...]:
 
 
 def is_good_state(s: FloodState) -> bool:
-    """Both invariants hold: no self-tracking nsubs entry, all seen sets ordered."""
+    """Both invariants hold: no self-tracking nsubs entry, all seen sets ordered.
+
+    Decided once per state object; every check of a step asks it again.
+    """
+    return s.memo("good", _holds_invariants)
+
+
+def _holds_invariants(s: FloodState) -> bool:
     return not self_tracking_violations(s) and not unordered_seen_violations(s)
 
 

@@ -124,12 +124,16 @@ def gen_good_state(cfg: GeneratorConfig, rng: random.Random) -> fn.FloodState:
 
 
 def _produce_candidates(cfg: GeneratorConfig, s: fn.FloodState):
+    """Every message some peer may produce at s, in pool, peer and topic order."""
+    held = set()  # the messages fn.is_new_message rules out
+    for _, pst in s.entries:
+        held.update(pst.seen, pst.pending)
     out = []
     for payload in cfg.payload_pool():
         for p, pst in s.entries:
             for tp in pst.pubs:
                 m = Message(payload, tp, p)
-                if fn.is_new_message(m, s):
+                if m not in held:
                     out.append(m)
     return out
 

@@ -16,6 +16,15 @@ class TraceError(ValueError):
 
 
 def state_digest(s) -> str:
+    """sha256 of the state's canonical JSON, computed once per state object.
+
+    A replayed or generated trace digests each state as the post-state of
+    one step and again as the pre-state of the next.
+    """
+    return s.memo("digest", _digest)
+
+
+def _digest(s) -> str:
     return hashlib.sha256(canonical_json(s.to_obj()).encode("utf-8")).hexdigest()
 
 

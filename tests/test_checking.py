@@ -106,3 +106,19 @@ def test_check_step_classifies_a_forward_once(monkeypatch, receiver, match):
     assert calls["pubsub_refine.flood_model.is_step"] == 0
     assert calls["pubsub_refine.broadcast_model.is_step"] == 0
     assert calls["pubsub_refine.flood_model.forward"] <= 1
+
+
+def test_check_step_decides_each_state_good_once(monkeypatch):
+    s = flood([(1, fn.FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),), pending=(M,))), (2, fn.FloodPeer(seen=(M,)))])
+    u = flood(fn.forward(1, M, s).entries)  # a fresh object, with nothing decided on it yet
+    decided = Counter()
+
+    def counting(x, _f=fn.self_tracking_violations):
+        decided[x] += 1
+        return _f(x)
+
+    monkeypatch.setattr(fn, "self_tracking_violations", counting)
+    rec = check_step(0, s, u, "forward")
+    assert rec.sound and all(v.passed for v in rec.verdicts)
+    assert set(decided) <= {s, u}
+    assert max(decided.values()) == 1

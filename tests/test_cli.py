@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from pubsub_refine import cli
 from pubsub_refine.cli import main
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
@@ -144,3 +145,32 @@ def test_run_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "latin.json"
     bad.write_bytes(b'{"state": {"peers": {}}, "events": [\xff]}')
     assert_usage_error(["run", str(bad)], capsys)
+
+
+@pytest.mark.parametrize("argv, checker", [
+    (["fuzz", "--traces", "1", "--steps", "1"], "fuzz_run"),
+    (["run", str(FIGURE1)], "scenario_run"),
+    (["mutate", "--fault", "none"], "run_fault"),
+])
+def test_unwritable_report_is_refused_before_any_check(argv, checker, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{checker} ran despite an unwritable report path")
+
+    monkeypatch.setattr(cli, checker, must_not_run)
+    assert_usage_error(argv + ["--report", str(tmp_path / "missing" / "x.json")], capsys)
+    assert_usage_error(argv + ["--report", str(tmp_path)], capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "fuzz_run", crash)
+    assert main(["fuzz", "--traces", "1", "--steps", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom second line\n"
+
+
+def test_a_real_counterexample_still_exits_1(capsys):
+    assert main(["mutate", "--fault", "drop-receiver"]) == 1
+    assert "internal error" not in capsys.readouterr().err

@@ -3,8 +3,12 @@ import itertools
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pubsub_refine import broadcast_model as bn
+from pubsub_refine import core
+from pubsub_refine import flood_model as fn
 from pubsub_refine.core import (
     Message,
+    PeerMap,
     difference,
     insert_unique,
     is_ascending,
@@ -129,3 +133,45 @@ def test_message_json_round_trip():
     obj = M1.to_obj()
     assert obj == {"pld": "a", "tp": "t1", "or": 5}
     assert Message.from_obj(obj) == M1
+
+
+def _state():
+    return fn.FloodState((
+        (1, fn.FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),), pending=(M1,))),
+        (2, fn.FloodPeer(subs=("t1",), seen=(M2, M3))),
+    ))
+
+
+def test_state_hash_is_the_hash_of_its_entries():
+    s = _state()
+    assert hash(s) == hash(s.entries)
+    assert hash(s) == hash(s.entries)  # the kept hash, read a second time
+
+
+def test_equal_states_built_apart_are_equal_and_hash_equal():
+    a, b = _state(), _state()
+    assert a is not b
+    hash(a)  # a keeps its hash, b does not yet
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_states_of_different_models_stay_unequal():
+    assert fn.FloodState() != bn.BroadcastState()
+    assert bn.BroadcastState() != fn.FloodState()
+
+
+def test_peer_map_hash_is_hand_written():
+    # the dataclass decorator compiles the methods it generates from a string
+    assert PeerMap.__dict__["__hash__"].__code__.co_filename == core.__file__
+    assert fn.FloodState.__hash__ is PeerMap.__hash__
+    assert bn.BroadcastState.__hash__ is PeerMap.__hash__
+
+
+def test_kept_facts_are_invisible():
+    s, fresh = _state(), _state()
+    before = (repr(s), s.to_obj())
+    hash(s), fn.is_good_state(s), s.memo("probe", lambda x: 42)
+    assert (repr(s), s.to_obj()) == before
+    assert s == fresh and fresh == s
+    assert s.memo("probe", lambda x: 0) == 42  # decided once

@@ -12,6 +12,7 @@ from importlib import resources
 
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
+from pubsub_refine import trace
 from pubsub_refine.checking import check_trace_refinement
 from pubsub_refine.core import Message
 from pubsub_refine.refinement import refinement_map
@@ -85,3 +86,17 @@ def test_match_sequence_and_final_receivers():
     # the closing partial broadcast delivers exactly to those receivers
     w = refinement_map(states[-2])
     assert bn.broadcast_partial(M, receivers, w) == final
+
+
+def test_replay_serializes_each_state_at_most_once(monkeypatch):
+    s0, events = load()
+    assert all(ev.pre_digest and ev.post_digest for ev in events)
+    serialized = []
+
+    def counting(obj, _f=trace.canonical_json):
+        serialized.append(obj)
+        return _f(obj)
+
+    monkeypatch.setattr(trace, "canonical_json", counting)
+    states = run_trace(s0, events)
+    assert len(serialized) <= len({id(x) for x in states})

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from pubsub_refine import flood_model as fn
-from pubsub_refine.generate import CHURN_KINDS, GeneratorConfig, gen_enabled_transition, gen_good_state
+from pubsub_refine.core import Message
+from pubsub_refine.generate import (
+    CHURN_KINDS,
+    GeneratorConfig,
+    _produce_candidates,
+    gen_enabled_transition,
+    gen_good_state,
+)
 from pubsub_refine.trace import apply_event
 
 
@@ -110,3 +117,23 @@ def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         # static mode zeroes the only weighted kind
         GeneratorConfig(weights={"join": 1.0}, static=True)
+
+
+def test_produce_candidates_keep_every_new_message_in_order():
+    cfg = GeneratorConfig(max_peers=6, max_topics=3, max_messages=5)
+    rng = random.Random(13)
+    excluded = 0
+    for _ in range(300):
+        s = gen_good_state(cfg, rng)
+        for i in range(5):  # walk a few steps so produced and forwarded messages are held too
+            every = [
+                Message(payload, tp, p)
+                for payload in cfg.payload_pool()
+                for p, pst in s.entries
+                for tp in pst.pubs
+            ]
+            expected = [m for m in every if fn.is_new_message(m, s)]
+            assert _produce_candidates(cfg, s) == expected
+            excluded += len(every) - len(expected)
+            s = apply_event(s, gen_enabled_transition(s, cfg, rng, index=i))
+    assert excluded > 100  # held messages were really ruled out
