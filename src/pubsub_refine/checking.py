@@ -11,11 +11,11 @@ the checker itself are recorded as errors instead of failures.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 from . import flood_model as fn
+from .core import indented_json
 from .refinement import WfsVerdict, check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -141,7 +141,7 @@ def record_counterexample(report: CheckReport, rec: StepRecord, s: fn.FloodState
 
 
 def emit_report(report: CheckReport) -> str:
-    return json.dumps(report.to_obj(), indent=2, sort_keys=True) + "\n"
+    return indented_json(report.to_obj()) + "\n"
 
 
 def check_trace_refinement(states, config: dict | None = None, kinds=None) -> CheckReport:

@@ -10,11 +10,11 @@ supplies the default seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .checking import emit_report
+from .core import indented_json
 from .exhaustive import run_exhaustive
 from .faults import FAULTS, run_fault
 from .generate import GeneratorConfig, default_weights
@@ -172,7 +172,7 @@ def _run(args) -> int:
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return USAGE_ERROR
-        print(json.dumps(report.to_obj(), indent=2, sort_keys=True))
+        print(indented_json(report.to_obj()))
         return 0 if report.ok else 1
 
     if args.command == "mutate":

@@ -124,22 +124,29 @@ def gen_good_state(cfg: GeneratorConfig, rng: random.Random) -> fn.FloodState:
 
 
 def _produce_candidates(cfg: GeneratorConfig, s: fn.FloodState):
-    """Every message some peer may produce at s, in pool, peer and topic order."""
-    held = set()  # the messages fn.is_new_message rules out
-    for _, pst in s.entries:
-        held.update(pst.seen, pst.pending)
+    """Every message some peer may produce at s, in pool, peer and topic order.
+
+    Each is a (payload, topic, origin) tuple; only the one drawn becomes a
+    Message.
+    """
+    held = {  # the messages fn.is_new_message rules out
+        (m.payload, m.topic, m.origin) for _, pst in s.entries for m in pst.seen + pst.pending
+    }
     out = []
     for payload in cfg.payload_pool():
         for p, pst in s.entries:
             for tp in pst.pubs:
-                m = Message(payload, tp, p)
-                if m not in held:
-                    out.append(m)
+                if (payload, tp, p) not in held:
+                    out.append((payload, tp, p))
     return out
 
 
 def gen_enabled_transition(s: fn.FloodState, cfg: GeneratorConfig, rng: random.Random, index: int = 0) -> TraceEvent:
-    """Sample one enabled transition from s as a replayable event."""
+    """Sample one enabled transition from s as a replayable event.
+
+    The event is built, not applied: the caller applies it once with
+    trace.apply_event, which also re-checks that it is enabled at s.
+    """
     weights = cfg.effective_weights()
     kinds = tuple(k for k in fn.STEP_KINDS if weights[k] > 0)
     kind = rng.choices(kinds, weights=[weights[k] for k in kinds])[0]
@@ -147,22 +154,22 @@ def gen_enabled_transition(s: fn.FloodState, cfg: GeneratorConfig, rng: random.R
     if kind == "produce":
         candidates = _produce_candidates(cfg, s)
         if candidates:
-            return make_event(index, s, "produce", message=rng.choice(candidates))
+            return make_event(index, "produce", message=Message(*rng.choice(candidates)))
     elif kind == "forward":
         pending = fn.pending_messages(s)
         if pending:
             m = rng.choice(pending)
-            return make_event(index, s, "forward", peer=fn.find_forwarder(s, m), message=m)
+            return make_event(index, "forward", peer=fn.find_forwarder(s, m), message=m)
     elif kind == "subscribe":
         if s.entries and cfg.max_topics:
             p = rng.choice(s.keys())
             topics = _sample_subset(rng, cfg.topic_pool())
-            return make_event(index, s, "subscribe", peer=p, topics=topics)
+            return make_event(index, "subscribe", peer=p, topics=topics)
     elif kind == "unsubscribe":
         if s.entries and cfg.max_topics:
             p = rng.choice(s.keys())
             topics = _sample_subset(rng, cfg.topic_pool())
-            return make_event(index, s, "unsubscribe", peer=p, topics=topics)
+            return make_event(index, "unsubscribe", peer=p, topics=topics)
     elif kind == "join":
         if len(s.entries) < cfg.max_peers:
             free = tuple(q for q in range(2 * cfg.max_peers + 1) if q not in s)
@@ -170,7 +177,6 @@ def gen_enabled_transition(s: fn.FloodState, cfg: GeneratorConfig, rng: random.R
                 p = rng.choice(free)
                 return make_event(
                     index,
-                    s,
                     "join",
                     peer=p,
                     pubs=_sample_subset(rng, cfg.topic_pool()),
@@ -180,6 +186,6 @@ def gen_enabled_transition(s: fn.FloodState, cfg: GeneratorConfig, rng: random.R
     elif kind == "leave":
         graceful = tuple(p for p, pst in s.entries if not pst.pending)
         if graceful:
-            return make_event(index, s, "leave", peer=rng.choice(graceful))
+            return make_event(index, "leave", peer=rng.choice(graceful))
 
-    return make_event(index, s, "skip")
+    return make_event(index, "skip")

@@ -17,7 +17,9 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
 
     Generator output is checked, not trusted: a non-good state or a step
     the transition relation rejects counts as a failure with a
-    counterexample, exactly like a failed obligation.
+    counterexample, exactly like a failed obligation. Each generated event
+    is applied once, here, and apply_event raises TraceError for one that is
+    not enabled.
     """
     start = time.monotonic()
     rng = random.Random(cfg.seed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import flood_model as fn
 from .core import Message, PeerId, Topic, canonical_json
@@ -18,8 +18,8 @@ class TraceError(ValueError):
 def state_digest(s) -> str:
     """sha256 of the state's canonical JSON, computed once per state object.
 
-    A replayed or generated trace digests each state as the post-state of
-    one step and again as the pre-state of the next.
+    A replayed trace digests each state as the post-state of one step and
+    again as the pre-state of the next.
     """
     return s.memo("digest", _digest)
 
@@ -32,8 +32,8 @@ def _digest(s) -> str:
 class TraceEvent:
     """One serialized transition; unused argument fields stay at their defaults.
 
-    Digests are optional (hand-written scenarios may omit them); replay
-    verifies whichever ones are present.
+    Digests are optional (hand-written scenarios may omit them, generated
+    events carry none); replay verifies whichever ones are present.
     """
 
     index: int
@@ -132,8 +132,12 @@ def run_trace(s0: fn.FloodState, events) -> list[fn.FloodState]:
     return states
 
 
-def make_event(index: int, s: fn.FloodState, kind: str, **args) -> TraceEvent:
-    """Build an event from generated arguments with both digests filled in."""
-    ev = TraceEvent(index=index, kind=kind, pre_digest=state_digest(s), **args)
-    post = apply_event(s, ev)
-    return replace(ev, post_digest=state_digest(post))
+def make_event(index: int, kind: str, **args) -> TraceEvent:
+    """Build an event from generated arguments, without digests.
+
+    The event is neither applied nor checked here: the caller applies it
+    once, through apply_event, which refuses it if it is not enabled
+    (runner.fuzz_run does so for every generated step). Digests belong to
+    scenario files, where run_trace verifies them.
+    """
+    return TraceEvent(index=index, kind=kind, **args)

@@ -4,10 +4,12 @@ import pytest
 
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
+from pubsub_refine import runner, trace
 from pubsub_refine.checking import check_step, check_trace_refinement
 from pubsub_refine.core import Message
 from pubsub_refine.generate import GeneratorConfig
 from pubsub_refine.runner import fuzz_run
+from pubsub_refine.trace import TraceError, TraceEvent
 
 M = Message("x", "t1", 1)
 
@@ -122,3 +124,27 @@ def test_check_step_decides_each_state_good_once(monkeypatch):
     assert rec.sound and all(v.passed for v in rec.verdicts)
     assert set(decided) <= {s, u}
     assert max(decided.values()) == 1
+
+
+def test_fuzz_applies_each_event_once_and_digests_nothing(monkeypatch):
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(trace, "_digest", counting("serialized", trace._digest))
+    apply = counting("applied", trace.apply_event)
+    monkeypatch.setattr(trace, "apply_event", apply)
+    monkeypatch.setattr(runner, "apply_event", apply)
+    report = fuzz_run(GeneratorConfig(seed=101, steps=20), traces=20)
+    assert report.ok and report.totals["steps"] == 400
+    assert calls == {"applied": 400}
+
+
+def test_fuzz_refuses_a_disabled_generated_event(monkeypatch):
+    monkeypatch.setattr(runner, "gen_enabled_transition", lambda s, cfg, rng, index: TraceEvent(index, "leave", peer=99))
+    with pytest.raises(TraceError, match=r"step 0 \(leave\).*not in state"):
+        fuzz_run(GeneratorConfig(seed=1, steps=1))

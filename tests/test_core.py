@@ -1,6 +1,9 @@
 import itertools
+import json
+from importlib import resources
 
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pubsub_refine import broadcast_model as bn
@@ -10,6 +13,7 @@ from pubsub_refine.core import (
     Message,
     PeerMap,
     difference,
+    indented_json,
     insert_unique,
     is_ascending,
     map_delete,
@@ -19,6 +23,10 @@ from pubsub_refine.core import (
     ordered_set,
     union_sets,
 )
+from pubsub_refine.exhaustive import run_exhaustive
+from pubsub_refine.faults import FAULTS, run_fault
+from pubsub_refine.generate import GeneratorConfig
+from pubsub_refine.runner import fuzz_run, scenario_run
 
 M1 = Message("a", "t1", 5)
 M2 = Message("a", "t1", 7)
@@ -175,3 +183,63 @@ def test_kept_facts_are_invisible():
     assert (repr(s), s.to_obj()) == before
     assert s == fresh and fresh == s
     assert s.memo("probe", lambda x: 0) == 42  # decided once
+
+
+# indented_json must give exactly the bytes of the standard encoder.
+
+json_strings = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "\u00e9", "\u2028", "\U0001f600", "\ud800"]
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 1, -1, 2**64, -(10**40)])
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 1e16, 5e-324, 1.7976931348623157e308])
+    | json_strings
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def standard(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(json_documents)
+def test_indented_json_is_the_standard_encoding(obj):
+    assert indented_json(obj) == standard(obj)
+
+
+@pytest.mark.parametrize("obj", [{10: 0, 2: [1]}, {0.5: 0, -1e22: 1}, {True: 0, False: 1}, {None: {}}])
+def test_indented_json_converts_non_string_keys_as_the_standard_encoder(obj):
+    assert indented_json(obj) == standard(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": {1, 2}}, [b"bytes"], {(1, 2): 0}, {"a": 1, 2: 0}])
+def test_indented_json_refuses_what_json_cannot_encode(obj):
+    with pytest.raises(TypeError):
+        standard(obj)
+    with pytest.raises(TypeError):
+        indented_json(obj)
+
+
+def test_indented_json_reproduces_real_reports():
+    with resources.as_file(resources.files("pubsub_refine") / "scenarios" / "figure1.json") as figure1:
+        reports = [
+            fuzz_run(GeneratorConfig(max_peers=8, max_topics=4, max_messages=6, steps=20, seed=101), traces=500),
+            scenario_run(figure1),
+            run_exhaustive(1, 1, 1),
+            *(run_fault(fault) for fault in FAULTS),
+        ]
+    assert len(reports) == 10
+    for report in reports:
+        obj = report.to_obj()
+        assert indented_json(obj) == standard(obj)

@@ -222,3 +222,19 @@ def test_arbitrary_json_raises_only_scenario_error(value):
 @given(documents)
 def test_documents_around_a_valid_skeleton_raise_only_scenario_error(document):
     assert_parses_or_rejects(json.dumps(document))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(value=json_values | documents)
+def test_run_exits_2_on_generated_malformed_documents(value, tmp_path_factory):
+    # 1 means a counterexample and 3 a crash of the checker; bad input is 2
+    document = json.dumps(value)
+    scenario = tmp_path_factory.getbasetemp() / "generated.json"
+    scenario.write_text(document, encoding="utf-8")
+    code = main(["run", str(scenario)])
+    try:
+        parse_scenario(document)
+    except ScenarioError:
+        assert code == 2
+    else:  # a well-formed document may still hold a disabled event or a bad state
+        assert code in (0, 2)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pubsub_refine.core import Message
@@ -24,20 +26,21 @@ def test_skip_event():
 
 
 def test_produce_then_forward():
-    produce = make_event(0, S, "produce", message=M)
+    produce = make_event(0, "produce", message=M)
     s1 = apply_event(S, produce)
-    forward = make_event(1, s1, "forward", peer=1, message=M)
+    forward = make_event(1, "forward", peer=1, message=M)
     s2 = apply_event(s1, forward)
     assert s2.get(2).pending == (M,)
     assert run_trace(S, [produce, forward]) == [S, s1, s2]
 
 
 def test_digests_verified():
-    produce = make_event(0, S, "produce", message=M)
-    assert produce.pre_digest == state_digest(S)
-    tampered = TraceEvent(0, "produce", message=M, pre_digest="0" * 64)
-    with pytest.raises(TraceError, match="digest"):
-        run_trace(S, [tampered])
+    s1 = apply_event(S, TraceEvent(0, "produce", message=M))
+    produce = TraceEvent(0, "produce", message=M, pre_digest=state_digest(S), post_digest=state_digest(s1))
+    assert run_trace(S, [produce]) == [S, s1]
+    for tag in ("pre", "post"):
+        with pytest.raises(TraceError, match=f"{tag}-state digest mismatch"):
+            run_trace(S, [replace(produce, **{f"{tag}_digest": "0" * 64})])
 
 
 def test_disabled_event_names_step_and_reason():
@@ -79,7 +82,7 @@ def test_unknown_kind():
 
 
 def test_event_serialization_round_trip_fields():
-    ev = make_event(0, S, "subscribe", peer=2, topics=("t2",))
+    ev = make_event(0, "subscribe", peer=2, topics=("t2",))
     obj = ev.to_obj()
     assert obj["kind"] == "subscribe" and obj["peer"] == 2 and obj["topics"] == ["t2"]
     assert "message" not in obj
