@@ -4,15 +4,18 @@ For every consecutive pair (s, u) of a trace the checker runs the three
 obligations with w fixed to the image of s, records which specification
 step matched the constructed witness, and additionally verifies the trace
 soundness conditions (good states, consecutive states related by the step
-relation). A failed obligation or soundness condition yields a
-counterexample carrying the full state dumps; precondition violations of
-the checker itself are recorded as errors instead of failures.
+relation). Every checked step enters a report through CheckReport.add,
+which makes the first unsound or failed step the counterexample, with the
+full state dumps. An unsound step is a counterexample whether the trace was
+generated or replayed: replay input cannot make a step unsound (scenario
+states must be good and events enabled), so one comes from the model.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from . import flood_model as fn
 from .core import indented_json
@@ -26,8 +29,11 @@ class StepRecord:
     flood_matches: tuple[str, ...]
     bn_match: str | None
     verdicts: tuple[WfsVerdict, ...]
-    sound: bool
     soundness_issues: tuple[str, ...] = ()
+
+    @property
+    def sound(self) -> bool:
+        return not self.soundness_issues
 
     @property
     def failures(self) -> tuple[WfsVerdict, ...]:
@@ -49,9 +55,14 @@ class StepRecord:
 
 @dataclass
 class CheckReport:
+    """The checked steps of a run and the dump of its first offending step.
+
+    The report format keeps an "errors" list and its total; both are always
+    empty, because an unsound step is a counterexample like a failed one.
+    """
+
     config: dict = field(default_factory=dict)
     steps: list[StepRecord] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
     counterexample: dict | None = None
     elapsed_seconds: float = 0.0
 
@@ -68,35 +79,39 @@ class CheckReport:
             "failed": failed,
             "unsound_steps": unsound,
             "not_applicable": skipped,
-            "errors": len(self.errors),
+            "errors": 0,
         }
 
     def add(self, rec: StepRecord, s: fn.FloodState, u: fn.FloodState):
-        """Append a checked step; the first unsound or failed one is the counterexample."""
+        """Append a checked step; dump the first unsound or failed one as the counterexample."""
         self.steps.append(rec)
-        if not rec.sound or rec.failures:
-            record_counterexample(self, rec, s, u)
+        if self.counterexample is not None or (rec.sound and not rec.failures):
+            return
+        reasons = list(rec.soundness_issues)
+        reasons += [f"{v.obligation}: {v.diagnostics}" for v in rec.failures]
+        dump = {"s": s.to_obj(), "u": u.to_obj(), "w": refinement_map(s).to_obj(),
+                "step": rec.index, "reasons": reasons}
+        for v in rec.verdicts:
+            if v.witness is not None:
+                dump["v"] = v.witness.to_obj()
+        self.counterexample = dump
 
     @property
     def ok(self) -> bool:
-        return (
-            self.counterexample is None
-            and not self.errors
-            and all(r.sound and not r.failures for r in self.steps)
-        )
+        return self.counterexample is None
 
     def to_obj(self) -> dict:
         return {
             "config": self.config,
             "totals": self.totals,
             "steps": [r.to_obj() for r in self.steps],
-            "errors": list(self.errors),
+            "errors": [],
             "counterexample": self.counterexample,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
 
-def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str = "?") -> StepRecord:
+def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> StepRecord:
     """Check one trace step: soundness, the three obligations, and the match.
 
     The good-state checks, the flood classification and the image of s are
@@ -121,48 +136,23 @@ def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str = "?") 
         flood_matches=flood_matches,
         bn_match=v3.match,
         verdicts=(check_wfs1(s), check_wfs2(s, w), v3),
-        sound=not issues,
         soundness_issues=tuple(issues),
     )
-
-
-def record_counterexample(report: CheckReport, rec: StepRecord, s: fn.FloodState, u: fn.FloodState):
-    """Attach the first offending step's full dump to the report."""
-    if report.counterexample is not None:
-        return
-    reasons = list(rec.soundness_issues)
-    reasons += [f"{v.obligation}: {v.diagnostics}" for v in rec.failures]
-    dump = {"s": s.to_obj(), "u": u.to_obj(), "w": refinement_map(s).to_obj(),
-            "step": rec.index, "reasons": reasons}
-    for v in rec.verdicts:
-        if v.witness is not None:
-            dump["v"] = v.witness.to_obj()
-    report.counterexample = dump
 
 
 def emit_report(report: CheckReport) -> str:
     return indented_json(report.to_obj()) + "\n"
 
 
-def check_trace_refinement(states, config: dict | None = None, kinds=None) -> CheckReport:
-    """Run the per-step obligations over a full state sequence.
+def check_trace_refinement(states, kinds, config: dict | None = None) -> CheckReport:
+    """Check every consecutive pair of states, labelled with one kind per step.
 
-    states must be consecutive flood states; non-good states or unrelated
-    pairs are reported as errors (the checker's own precondition), while
-    failed obligations become failures with a counterexample.
+    Each step goes through CheckReport.add, so the first unsound or failed
+    step becomes the counterexample.
     """
     start = time.monotonic()
     report = CheckReport(config=config or {})
-    kinds = list(kinds) if kinds is not None else ["?"] * max(len(states) - 1, 0)
-    for i in range(len(states) - 1):
-        s, u = states[i], states[i + 1]
-        rec = check_step(i, s, u, kinds[i] if i < len(kinds) else "?")
-        report.steps.append(rec)
-        if not rec.sound:
-            report.errors.append(
-                f"step {i}: precondition violated: {'; '.join(rec.soundness_issues)}"
-            )
-        if rec.failures:
-            record_counterexample(report, rec, s, u)
+    for i, ((s, u), kind) in enumerate(zip(pairwise(states), kinds, strict=True)):
+        report.add(check_step(i, s, u, kind), s, u)
     report.elapsed_seconds = time.monotonic() - start
     return report

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 when every obligation passes, 1 when a counterexample was
-found, 2 for usage or input errors (an unwritable --report path included,
-refused before any checking), 3 for an internal error of the checker
-itself, so that 1 always means a counterexample. PUBSUB_REFINE_SEED
-supplies the default seed.
+found (a failed obligation or an unsound step, generated or replayed), 2
+for usage or input errors (an unwritable --report path included, refused
+before any checking, and a run that would check nothing), 3 for an
+internal error of the checker itself, so that 1 always means a
+counterexample. PUBSUB_REFINE_SEED supplies the default seed.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _summarize(report) -> str:
     verdict = "PASS" if report.ok else "FAIL"
     return (
         f"{verdict}: {t['steps']} steps, {t['checks']} checks, "
-        f"{t['failed']} failed, {t['errors']} errors"
+        f"{t['failed']} failed, {t['unsound_steps']} unsound"
     )
 
 
@@ -125,63 +126,54 @@ def main(argv=None) -> int:
         return INTERNAL_ERROR
 
 
+def _usage_error(e) -> int:
+    print(f"error: {e}", file=sys.stderr)
+    return USAGE_ERROR
+
+
+def _fuzz_config(args) -> GeneratorConfig:
+    if args.traces < 1 or args.steps < 1:
+        raise ValueError("--traces and --steps must be at least 1")
+    return GeneratorConfig(
+        max_peers=args.max_peers,
+        max_topics=args.max_topics,
+        max_messages=args.max_messages,
+        steps=args.steps,
+        seed=args.seed if args.seed is not None else _default_seed(),
+        weights=_parse_weights(args.weights),
+        static=args.static,
+    )
+
+
 def _run(args) -> int:
     problem = getattr(args, "report", None) and _unwritable(args.report)
     if problem:
-        print(f"error: cannot write report {args.report}: {problem}", file=sys.stderr)
-        return USAGE_ERROR
-
-    if args.command == "fuzz":
-        try:
-            if args.traces < 1 or args.steps < 1:
-                raise ValueError("--traces and --steps must be at least 1")
-            seed = args.seed if args.seed is not None else _default_seed()
-            weights = _parse_weights(args.weights)
-            cfg = GeneratorConfig(
-                max_peers=args.max_peers,
-                max_topics=args.max_topics,
-                max_messages=args.max_messages,
-                steps=args.steps,
-                seed=seed,
-                weights=weights,
-                static=args.static,
-            )
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_ERROR
-        report = fuzz_run(cfg, traces=args.traces)
-        _write_report(report, args.report)
-        print(_summarize(report), file=sys.stderr)
-        return 0 if report.ok else 1
-
-    if args.command == "run":
-        try:
-            report = scenario_run(args.scenario)
-        except (ScenarioError, TraceError, OSError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_ERROR
-        _write_report(report, args.report)
-        print(_summarize(report), file=sys.stderr)
-        if report.counterexample is not None:
-            return 1
-        return USAGE_ERROR if report.errors else 0
+        return _usage_error(f"cannot write report {args.report}: {problem}")
 
     if args.command == "enumerate":
         try:
             report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
         except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return USAGE_ERROR
+            return _usage_error(e)
         print(indented_json(report.to_obj()))
         return 0 if report.ok else 1
 
-    if args.command == "mutate":
+    if args.command == "fuzz":
+        try:
+            cfg = _fuzz_config(args)
+        except ValueError as e:
+            return _usage_error(e)
+        report = fuzz_run(cfg, traces=args.traces)
+    elif args.command == "run":
+        try:
+            report = scenario_run(args.scenario)
+        except (ScenarioError, TraceError, OSError) as e:
+            return _usage_error(e)
+    else:
         report = run_fault(args.fault)
-        _write_report(report, args.report)
-        print(_summarize(report), file=sys.stderr)
-        return 0 if report.ok else 1
-
-    return USAGE_ERROR
+    _write_report(report, args.report)
+    print(_summarize(report), file=sys.stderr)
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

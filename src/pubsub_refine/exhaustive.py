@@ -22,6 +22,7 @@ exceeds the cap instead of silently grinding.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -51,19 +52,32 @@ def universe_pools(peers: int, topics: int, messages: int):
     return peer_pool, topic_pool, msg_pool
 
 
-def estimate_flood_states(peers: int, topics: int, messages: int) -> int:
-    peer_pool, topic_pool, msg_pool = universe_pools(peers, topics, messages)
-    pendings = sum(1 for _ in _pending_sequences(msg_pool))
-    total = 0
-    for present in _subsets(peer_pool):
-        per_peer = 1
-        for p in present:
-            topic_sets = 2 ** len(topic_pool)
-            nsubs = (2 ** len(peer_pool)) ** len(topic_pool)
-            seen = 2 ** len(msg_pool)
-            per_peer *= topic_sets * topic_sets * nsubs * pendings * seen
-        total += per_peer
-    return total
+def estimate_flood_states(peers: int, topics: int, messages: int, cap: float = math.inf) -> int:
+    """The number of type-valid flood states, or a number above cap once the count passes it.
+
+    A present peer picks pubs, subs, a neighbour set per topic, a pending
+    sequence and a seen set; any subset of the peers is present, so the
+    count is (1 + per_peer) ** peers. It is built one factor at a time and
+    stops past the cap, so huge bounds cost no time and build no huge integer.
+    """
+    if not (peers and topics):
+        messages = 0  # universe_pools builds no message without a peer and a topic
+
+    def product(factors):
+        out = 1
+        for f in factors:
+            out *= f
+            if out > cap:
+                break
+        return out
+
+    pendings = 0
+    for k in range(messages + 1):
+        pendings += math.perm(messages, k)
+        if pendings > cap:
+            break
+    per_peer = product(itertools.chain((pendings,), itertools.repeat(2, (2 + peers) * topics + messages)))
+    return product(itertools.repeat(1 + per_peer, peers))
 
 
 def _peer_states(p, peer_pool, topic_pool, msg_pool):
@@ -156,6 +170,9 @@ def broadcast_successors(s: bn.BroadcastState, peer_pool, topic_pool, msg_pool):
     return out
 
 
+KEPT_DISCREPANCIES = 20  # dumps kept for the report; any discrepancy fails the run
+
+
 @dataclass
 class ExhaustiveReport:
     bounds: dict
@@ -167,6 +184,11 @@ class ExhaustiveReport:
     obligations_checked: int = 0
     discrepancies: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
+
+    def note(self, check: str, s, u, **details):
+        """Keep the dump of a discrepancy, if it is among the first KEPT_DISCREPANCIES."""
+        if len(self.discrepancies) < KEPT_DISCREPANCIES:
+            self.discrepancies.append({"check": check, **details, "s": s.to_obj(), "u": u.to_obj()})
 
     @property
     def ok(self) -> bool:
@@ -181,7 +203,7 @@ class ExhaustiveReport:
             "broadcast_pairs_checked": self.broadcast_pairs_checked,
             "successors_checked": self.successors_checked,
             "obligations_checked": self.obligations_checked,
-            "discrepancies": self.discrepancies[:20],
+            "discrepancies": self.discrepancies,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -190,11 +212,10 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
     """Cross-check relations, good-state preservation and obligations within bounds."""
     if min(peers, topics, messages) < 0:
         raise ValueError("bounds must be non-negative")
-    estimate = estimate_flood_states(peers, topics, messages)
-    if estimate > cap:
+    if estimate_flood_states(peers, topics, messages, cap) > cap:
         raise ValueError(
             f"bounds ({peers} peers, {topics} topics, {messages} messages) "
-            f"yield about {estimate} flood states, above the cap of {cap}"
+            f"yield more flood states than {cap}, above the cap"
         )
     start = time.monotonic()
     report = ExhaustiveReport(bounds={"peers": peers, "topics": topics, "messages": messages})
@@ -212,42 +233,28 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
         w = refinement_map(s)
         for kind, u in succs:
             if not fn.is_good_state(u):
-                report.discrepancies.append(
-                    {"check": "good-state-preservation", "kind": kind,
-                     "s": s.to_obj(), "u": u.to_obj()}
-                )
+                report.note("good-state-preservation", s, u, kind=kind)
                 continue
             for verdict in (check_wfs1(s), check_wfs2(s, w), check_wfs3(s, w, u, fn.step_kinds(s, u))):
                 report.obligations_checked += 1
                 if verdict.applicable and not verdict.passed:
-                    report.discrepancies.append(
-                        {"check": verdict.obligation, "kind": kind,
-                         "diagnostics": verdict.diagnostics,
-                         "s": s.to_obj(), "u": u.to_obj()}
-                    )
-    for i, s in enumerate(flood_states):
-        succ = flood_succ[i]
+                    report.note(verdict.obligation, s, u, kind=kind, diagnostics=verdict.diagnostics)
+    for s, succ in zip(flood_states, flood_succ):
+        report.flood_pairs_checked += len(flood_states)
         for u in flood_states:
-            report.flood_pairs_checked += 1
-            if fn.is_step(s, u) != (u in succ):
-                report.discrepancies.append(
-                    {"check": "flood-relation-agreement",
-                     "relation": fn.is_step(s, u), "enumerated": u in succ,
-                     "s": s.to_obj(), "u": u.to_obj()}
-                )
+            related = fn.is_step(s, u)
+            if related != (u in succ):
+                report.note("flood-relation-agreement", s, u, relation=related, enumerated=not related)
 
     broadcast_states = list(enumerate_broadcast_states(peers, topics, messages))
     report.broadcast_states = len(broadcast_states)
     for s in broadcast_states:
         succ = {u for _, u in broadcast_successors(s, peer_pool, topic_pool, msg_pool)}
+        report.broadcast_pairs_checked += len(broadcast_states)
         for u in broadcast_states:
-            report.broadcast_pairs_checked += 1
-            if bn.is_step(s, u) != (u in succ):
-                report.discrepancies.append(
-                    {"check": "broadcast-relation-agreement",
-                     "relation": bn.is_step(s, u), "enumerated": u in succ,
-                     "s": s.to_obj(), "u": u.to_obj()}
-                )
+            related = bn.is_step(s, u)
+            if related != (u in succ):
+                report.note("broadcast-relation-agreement", s, u, relation=related, enumerated=not related)
 
     report.elapsed_seconds = time.monotonic() - start
     return report

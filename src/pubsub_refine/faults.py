@@ -9,6 +9,7 @@ faults double as a self-test that the checkers are not vacuous.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from . import flood_model as fn
 from .checking import CheckReport, StepRecord, check_step
@@ -17,17 +18,8 @@ from .generate import GeneratorConfig
 from .refinement import check_match, matching_step, refinement_map
 from .runner import fuzz_run
 
-FAULTS = (
-    "drop-receiver",
-    "skip-good-check",
-    "forward-to-self",
-    "leave-with-pending",
-    "duplicate-seen",
-    "unsorted-seen",
-    "none",
-)
-
 _M = Message("fault-probe", "t0", 1)
+_A, _B = sorted([_M, Message("fault-probe-2", "t0", 1)])
 
 
 def _flood_pair():
@@ -39,6 +31,41 @@ def _flood_pair():
         )
     )
     return s, fn.forward(1, _M, s)
+
+
+def _forward_to_self():
+    # a buggy forward hands the message back to the sender's pending set
+    s, u = _flood_pair()
+    return s, u.with_peer(1, replace(u.get(1), pending=(_M,))), "forward"
+
+
+def _leave_with_pending():
+    # peer 1 departs while still holding a pending message
+    s = fn.FloodState(
+        (
+            (1, fn.FloodPeer(pubs=("t0",), pending=(_M,))),
+            (2, fn.FloodPeer(subs=("t0",))),
+        )
+    )
+    return s, fn.leave(1, s), "leave"
+
+
+def _lone_skip(**fields):
+    s = fn.FloodState(((1, fn.FloodPeer(**fields)),))
+    return s, s, "skip"
+
+
+# (s, u, kind) of each fault that plants one bad step into a checked trace
+_PLANTED = {
+    # the generator's good-state filter is bypassed: peer 1 tracks itself
+    "skip-good-check": lambda: _lone_skip(subs=("t0",), nsubs=(("t0", (1,)),)),
+    "forward-to-self": _forward_to_self,
+    "leave-with-pending": _leave_with_pending,
+    "duplicate-seen": lambda: _lone_skip(seen=(_A, _A)),
+    "unsorted-seen": lambda: _lone_skip(seen=(_B, _A)),
+}
+
+FAULTS = ("drop-receiver", *_PLANTED, "none")
 
 
 def _report_for(fault: str) -> CheckReport:
@@ -56,48 +83,14 @@ def _report_for(fault: str) -> CheckReport:
         w = refinement_map(s)
         corrupt = matching_step(s, u, w).with_peer(2, w.get(2))
         verdict = check_match(s, u, w, corrupt)
-        report.add(StepRecord(0, "forward", fn.step_kinds(s, u), verdict.match, (verdict,), True), s, u)
+        report.add(StepRecord(0, "forward", fn.step_kinds(s, u), verdict.match, (verdict,)), s, u)
         return report
 
-    if fault == "skip-good-check":
-        # the generator's good-state filter is bypassed: peer 1 tracks itself
-        s = fn.FloodState(
-            ((1, fn.FloodPeer(subs=("t0",), nsubs=(("t0", (1,)),))),)
-        )
-        report.add(check_step(0, s, s, "skip"), s, s)
-        return report
-
-    if fault == "forward-to-self":
-        # a buggy forward hands the message back to the sender's pending set
-        s, good_u = _flood_pair()
-        pst = good_u.get(1)
-        bad_u = good_u.with_peer(
-            1, fn.FloodPeer(pst.pubs, pst.subs, pst.nsubs, (_M,), pst.seen)
-        )
-        report.add(check_step(0, s, bad_u, "forward"), s, bad_u)
-        return report
-
-    if fault == "leave-with-pending":
-        # peer 1 departs while still holding a pending message
-        s = fn.FloodState(
-            (
-                (1, fn.FloodPeer(pubs=("t0",), pending=(_M,))),
-                (2, fn.FloodPeer(subs=("t0",))),
-            )
-        )
-        u = fn.leave(1, s)
-        report.add(check_step(0, s, u, "leave"), s, u)
-        return report
-
-    if fault in ("duplicate-seen", "unsorted-seen"):
-        m2 = Message("fault-probe-2", "t0", 1)
-        a, b = sorted([_M, m2])
-        seen = (a, a) if fault == "duplicate-seen" else (b, a)
-        s = fn.FloodState(((1, fn.FloodPeer(seen=seen)),))
-        report.add(check_step(0, s, s, "skip"), s, s)
-        return report
-
-    raise ValueError(f"unknown fault {fault!r}; choose one of {', '.join(FAULTS)}")
+    if fault not in _PLANTED:
+        raise ValueError(f"unknown fault {fault!r}; choose one of {', '.join(FAULTS)}")
+    s, u, kind = _PLANTED[fault]()
+    report.add(check_step(0, s, u, kind), s, u)
+    return report
 
 
 def run_fault(fault: str) -> CheckReport:

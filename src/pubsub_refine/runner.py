@@ -8,7 +8,7 @@ import time
 from . import flood_model as fn
 from .checking import CheckReport, StepRecord, check_step, check_trace_refinement
 from .generate import GeneratorConfig, gen_enabled_transition, gen_good_state
-from .scenario import load_scenario
+from .scenario import ScenarioError, load_scenario
 from .trace import apply_event, run_trace
 
 
@@ -28,7 +28,7 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
     for _ in range(traces):
         s = gen_good_state(cfg, rng)
         if not fn.is_good_state(s):
-            report.add(StepRecord(index, "init", (), None, (), False, ("generated state is not good",)), s, s)
+            report.add(StepRecord(index, "init", (), None, (), ("generated state is not good",)), s, s)
             continue
         for _ in range(cfg.steps):
             ev = gen_enabled_transition(s, cfg, rng, index=index)
@@ -41,8 +41,13 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
 
 
 def scenario_run(path) -> CheckReport:
-    """Replay a scenario file and check the refinement obligations over it."""
+    """Replay a scenario file and check the refinement obligations over it.
+
+    A scenario without events is refused: it would pass vacuously.
+    """
     state, events = load_scenario(path)
+    if not events:
+        raise ScenarioError("a scenario without events checks nothing and never passes", "events")
     states = run_trace(state, events)
     return check_trace_refinement(
         states,

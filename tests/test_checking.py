@@ -54,21 +54,42 @@ def test_full_flood_matches_partial_broadcast():
     assert rec.bn_match == "broadcast-partial"
 
 
-def test_non_good_state_is_an_error_not_a_failure():
-    bad = flood([(1, fn.FloodPeer(nsubs=(("t1", (1,)),)))])
-    report = check_trace_refinement([bad, bad])
-    assert report.errors
-    assert not report.steps[0].sound
-    assert report.totals["failed"] == 0
+def assert_unsound_counterexample(report, reason):
+    rec = report.steps[0]
+    assert not rec.sound and any(reason in issue for issue in rec.soundness_issues)
     assert not report.ok
+    assert report.counterexample["step"] == 0
+    assert report.counterexample["reasons"] == list(rec.soundness_issues)
+    assert report.totals["failed"] == 0 and report.totals["unsound_steps"] == 1
+    assert report.totals["errors"] == 0 and report.to_obj()["errors"] == []
 
 
-def test_unrelated_pair_is_an_error():
+def test_non_good_state_is_a_counterexample_not_an_error():
+    bad = flood([(1, fn.FloodPeer(nsubs=(("t1", (1,)),)))])
+    report = check_trace_refinement([bad, bad], kinds=["skip"])
+    assert_unsound_counterexample(report, "pre-state violates good-state invariants at peers (1,)")
+
+
+def test_unrelated_pair_is_a_counterexample():
     s = flood([(1, fn.FloodPeer())])
     u = flood([(2, fn.FloodPeer(seen=(M,)))])
-    report = check_trace_refinement([s, u])
-    assert report.errors
-    assert report.counterexample is None
+    report = check_trace_refinement([s, u], kinds=["skip"])
+    assert_unsound_counterexample(report, "no flood transition relates the states")
+    assert report.counterexample["s"] == s.to_obj() and report.counterexample["u"] == u.to_obj()
+
+
+def test_only_the_first_offending_step_is_dumped():
+    good = flood([(1, fn.FloodPeer())])
+    bad = flood([(1, fn.FloodPeer(nsubs=(("t1", (1,)),)))])
+    report = check_trace_refinement([good, bad, bad, good], kinds=["skip"] * 3)
+    assert [rec.sound for rec in report.steps] == [False, False, False]
+    assert report.counterexample["step"] == 0 and report.counterexample["u"] == bad.to_obj()
+
+
+def test_trace_needs_one_kind_per_step():
+    s = flood([(1, fn.FloodPeer())])
+    with pytest.raises(ValueError):
+        check_trace_refinement([s, s, s], kinds=["skip"])
 
 
 def test_fuzz_report_shape_and_determinism():

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from pubsub_refine import cli
+from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
@@ -78,6 +79,34 @@ def test_run_rejects_bad_input(tmp_path):
         "events": [{"kind": "leave", "peer": 4}],
     }))
     assert main(["run", str(disabled)]) == 2
+
+
+def test_run_refuses_a_scenario_without_events(tmp_path, capsys):
+    for document in ({"state": {"peers": {"1": {}}}, "events": []}, {"state": {"peers": {"1": {}}}}):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(document))
+        assert_usage_error(["run", str(empty)], capsys)
+
+
+def test_unsound_replayed_step_is_a_counterexample(tmp_path, monkeypatch, capsys):
+    # a subscribe that makes the subscriber track itself leaves the good
+    # states; replay input cannot do that, so the model is at fault
+    def self_tracking_subscribe(p, topics, s):
+        return s.with_peer(p, fn.FloodPeer(subs=tuple(topics), nsubs=tuple((tp, (p,)) for tp in topics)))
+
+    monkeypatch.setattr(fn, "subscribe", self_tracking_subscribe)
+    scenario = tmp_path / "subscribe.json"
+    scenario.write_text(json.dumps({
+        "state": {"peers": {"1": {}}},
+        "events": [{"kind": "subscribe", "peer": 1, "topics": ["t0"]}],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["run", str(scenario), "--report", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: 1 steps")
+    report = json.loads(out.read_text())
+    assert report["counterexample"]["reasons"] == [
+        "post-state violates good-state invariants at peers (1,)"]
+    assert report["totals"]["unsound_steps"] == 1 and report["errors"] == []
 
 
 def test_enumerate_small(capsys):

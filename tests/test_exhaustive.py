@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from pubsub_refine import flood_model as fn
 from pubsub_refine.exhaustive import (
+    KEPT_DISCREPANCIES,
     enumerate_broadcast_states,
     enumerate_flood_states,
     estimate_flood_states,
@@ -23,6 +26,21 @@ def test_estimate_matches_enumeration():
         states = list(enumerate_flood_states(*bounds))
         assert len(states) == estimate_flood_states(*bounds)
         assert len(states) == len(set(states))  # no duplicates
+
+
+def test_estimate_stops_past_the_cap():
+    exact = estimate_flood_states(2, 1, 1)
+    assert estimate_flood_states(2, 1, 1, cap=exact) == exact
+    assert estimate_flood_states(2, 1, 1, cap=exact - 1) > exact - 1
+    assert estimate_flood_states(0, 5, 5) == 1  # only the empty network
+    assert estimate_flood_states(10**9, 10**9, 10**9, cap=2000) > 2000
+
+
+def test_huge_bounds_are_refused_at_once():
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="above the cap"):
+        run_exhaustive(1, 1, 13)
+    assert time.monotonic() - start < 1.0
 
 
 def test_universe_includes_non_good_states():
@@ -68,6 +86,18 @@ def test_forward_successors_pass_wfs3():
             assert verdict.applicable and verdict.passed, verdict.diagnostics
             checked += 1
     assert checked > 50
+
+
+def test_only_the_first_discrepancies_are_kept(monkeypatch):
+    # a flood relation that accepts every pair disagrees with the successor
+    # sets on 25,340 of the 25,921 pairs; only the first dumps are held
+    monkeypatch.setattr(fn, "is_step", lambda s, u: True)
+    report = run_exhaustive(1, 1, 2)
+    assert not report.ok
+    assert len(report.discrepancies) == len(report.to_obj()["discrepancies"]) == KEPT_DISCREPANCIES
+    first = report.discrepancies[0]
+    assert first["check"] == "flood-relation-agreement"
+    assert first["relation"] is True and first["enumerated"] is False
 
 
 def test_cap_refusal_names_estimate():
