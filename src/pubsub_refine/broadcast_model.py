@@ -244,4 +244,7 @@ def step_kinds(s: BroadcastState, u: BroadcastState) -> tuple[str, ...]:
 
 def is_step(s: BroadcastState, u: BroadcastState) -> bool:
     """The transition relation: any of the seven cases accepts (s, u)."""
-    return any(test(s, u) for _, test in _STEP_TESTS)
+    for _, test in _STEP_TESTS:
+        if test(s, u):
+            return True
+    return False

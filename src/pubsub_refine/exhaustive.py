@@ -7,16 +7,23 @@ value sets). Self-tracking neighbor entries are included on purpose; they
 are exactly the non-good states the relations must still handle.
 
 For each state it then builds the brute-force successor set from every
-legal (transition, argument) combination and cross-checks three things:
+legal (transition, argument) combination and cross-checks four things:
 
+  * every successor lies inside the universe,
   * the step relation agrees with successor-set membership on all state
     pairs in the universe,
   * every good state's enabled transition lands in a good state,
   * every step from a good state passes the three simulation obligations.
 
-Any discrepancy is reported with the offending states. The state space
-grows brutally fast, so the entry point refuses bounds whose universe
-exceeds the cap instead of silently grinding.
+Each universe is interned once: a state's position in the enumeration is
+its id, and a successor set is a set of ids. The all-pairs check still asks
+the step relation about every pair, but decides membership by an int
+lookup instead of hashing and comparing states.
+
+Every discrepancy is counted per check; the first KEPT_DISCREPANCIES are
+reported with the offending states. The state space grows brutally fast,
+so the entry point refuses bounds whose universe exceeds the cap instead
+of silently grinding.
 """
 
 from __future__ import annotations
@@ -183,10 +190,12 @@ class ExhaustiveReport:
     successors_checked: int = 0
     obligations_checked: int = 0
     discrepancies: list = field(default_factory=list)
+    discrepancy_counts: dict = field(default_factory=dict)  # check -> every discrepancy found
     elapsed_seconds: float = 0.0
 
     def note(self, check: str, s, u, **details):
-        """Keep the dump of a discrepancy, if it is among the first KEPT_DISCREPANCIES."""
+        """Count a discrepancy, and keep its dump if it is among the first KEPT_DISCREPANCIES."""
+        self.discrepancy_counts[check] = self.discrepancy_counts.get(check, 0) + 1
         if len(self.discrepancies) < KEPT_DISCREPANCIES:
             self.discrepancies.append({"check": check, **details, "s": s.to_obj(), "u": u.to_obj()})
 
@@ -204,8 +213,31 @@ class ExhaustiveReport:
             "successors_checked": self.successors_checked,
             "obligations_checked": self.obligations_checked,
             "discrepancies": self.discrepancies,
+            "discrepancy_counts": dict(self.discrepancy_counts),
             "elapsed_seconds": self.elapsed_seconds,
         }
+
+
+def _successor_ids(report: ExhaustiveReport, index: dict, s, succs) -> set[int]:
+    """The universe positions of s's successors; one outside the universe is a discrepancy."""
+    ids = set()
+    for kind, u in succs:
+        j = index.get(u)
+        if j is None:
+            report.note("successor-outside-universe", s, u, kind=kind)
+        else:
+            ids.add(j)
+    return ids
+
+
+def _check_agreement(report: ExhaustiveReport, check: str, states: list, succ_ids: list, is_step) -> int:
+    """Decide is_step on every pair of the universe against the successor sets; the pairs decided."""
+    for s, ids in zip(states, succ_ids):
+        for j, u in enumerate(states):
+            related = is_step(s, u)
+            if related != (j in ids):
+                report.note(check, s, u, relation=related, enumerated=not related)
+    return len(states) ** 2
 
 
 def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> ExhaustiveReport:
@@ -223,10 +255,11 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
 
     flood_states = list(enumerate_flood_states(peers, topics, messages))
     report.flood_states = len(flood_states)
-    flood_succ: list[set] = []
+    index = {s: i for i, s in enumerate(flood_states)}
+    flood_succ: list[set[int]] = []
     for s in flood_states:
         succs = flood_successors(s, peer_pool, topic_pool, msg_pool)
-        flood_succ.append({u for _, u in succs})
+        flood_succ.append(_successor_ids(report, index, s, succs))
         report.successors_checked += len(succs)
         if not fn.is_good_state(s):
             continue
@@ -239,22 +272,21 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
                 report.obligations_checked += 1
                 if verdict.applicable and not verdict.passed:
                     report.note(verdict.obligation, s, u, kind=kind, diagnostics=verdict.diagnostics)
-    for s, succ in zip(flood_states, flood_succ):
-        report.flood_pairs_checked += len(flood_states)
-        for u in flood_states:
-            related = fn.is_step(s, u)
-            if related != (u in succ):
-                report.note("flood-relation-agreement", s, u, relation=related, enumerated=not related)
+    # the relations are looked up per run, so a relation patched on its module is the one checked
+    report.flood_pairs_checked = _check_agreement(
+        report, "flood-relation-agreement", flood_states, flood_succ, fn.is_step
+    )
 
     broadcast_states = list(enumerate_broadcast_states(peers, topics, messages))
     report.broadcast_states = len(broadcast_states)
-    for s in broadcast_states:
-        succ = {u for _, u in broadcast_successors(s, peer_pool, topic_pool, msg_pool)}
-        report.broadcast_pairs_checked += len(broadcast_states)
-        for u in broadcast_states:
-            related = bn.is_step(s, u)
-            if related != (u in succ):
-                report.note("broadcast-relation-agreement", s, u, relation=related, enumerated=not related)
+    index = {s: i for i, s in enumerate(broadcast_states)}
+    broadcast_succ = [
+        _successor_ids(report, index, s, broadcast_successors(s, peer_pool, topic_pool, msg_pool))
+        for s in broadcast_states
+    ]
+    report.broadcast_pairs_checked = _check_agreement(
+        report, "broadcast-relation-agreement", broadcast_states, broadcast_succ, bn.is_step
+    )
 
     report.elapsed_seconds = time.monotonic() - start
     return report

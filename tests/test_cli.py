@@ -113,6 +113,7 @@ def test_enumerate_small(capsys):
     assert main(["enumerate", "--peers", "1", "--topics", "1", "--messages", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["discrepancies"] == []
+    assert out["discrepancy_counts"] == {}
     assert out["flood_states"] == 9
 
 

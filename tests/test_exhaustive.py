@@ -1,10 +1,16 @@
+import itertools
+import json
 import time
 
 import pytest
 
+from pubsub_refine import broadcast_model as bn
+from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
+from pubsub_refine.cli import main
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
+    broadcast_successors,
     enumerate_broadcast_states,
     enumerate_flood_states,
     estimate_flood_states,
@@ -57,13 +63,17 @@ def test_one_peer_one_topic_relations_agree():
 def test_one_peer_with_message():
     report = run_exhaustive(1, 1, 1)
     assert report.ok, report.discrepancies[:3]
+    # the counts the benchmark expects of this bound: a change to the
+    # universe or to the obligation loop moves one of them
+    assert (report.flood_states, report.flood_pairs_checked) == (33, 1089)
+    assert (report.broadcast_states, report.broadcast_pairs_checked) == (9, 81)
+    assert report.obligations_checked == 309
+    assert report.to_obj()["discrepancy_counts"] == {}
 
 
 def test_successors_stay_in_universe():
     peer_pool, topic_pool, msg_pool = universe_pools(2, 1, 1)
     universe = set(enumerate_flood_states(2, 1, 1))
-    import itertools
-
     sample = itertools.islice(sorted(universe, key=lambda s: repr(s)), 0, 40)
     for s in sample:
         for kind, u in flood_successors(s, peer_pool, topic_pool, msg_pool):
@@ -98,6 +108,50 @@ def test_only_the_first_discrepancies_are_kept(monkeypatch):
     first = report.discrepancies[0]
     assert first["check"] == "flood-relation-agreement"
     assert first["relation"] is True and first["enumerated"] is False
+    assert report.to_obj()["discrepancy_counts"] == {"flood-relation-agreement": 25340}
+
+
+@pytest.mark.parametrize("model, check, states, successors", [
+    (fn, "flood-relation-agreement", enumerate_flood_states, flood_successors),
+    (bn, "broadcast-relation-agreement", enumerate_broadcast_states, broadcast_successors),
+], ids=["flood", "broadcast"])
+def test_enumerated_but_rejected_pairs_are_discrepancies(monkeypatch, model, check, states, successors):
+    # a relation that rejects every pair disagrees on exactly the enumerated successors
+    monkeypatch.setattr(model, "is_step", lambda s, u: False)
+    report = run_exhaustive(1, 1, 1)
+    assert not report.ok
+    first = report.discrepancies[0]
+    assert first["check"] == check
+    assert first["relation"] is False and first["enumerated"] is True
+    pools = universe_pools(1, 1, 1)
+    want = sum(len({u for _, u in successors(s, *pools)}) for s in states(1, 1, 1))
+    assert report.discrepancy_counts == {check: want}
+
+
+def test_successor_outside_the_universe_is_a_discrepancy(monkeypatch, capsys):
+    # a successor function that joins a peer from outside the peer pool
+    real = exhaustive.flood_successors
+
+    def with_stranger(s, *pools):
+        return real(s, *pools) + [("join", fn.join(5, (), (), (), s))]
+
+    monkeypatch.setattr(exhaustive, "flood_successors", with_stranger)
+    assert main(["enumerate", "--peers", "1", "--topics", "1", "--messages", "0"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["discrepancy_counts"] == {"successor-outside-universe": out["flood_states"]}
+    first = out["discrepancies"][0]
+    assert first["check"] == "successor-outside-universe" and first["kind"] == "join"
+    assert "5" in first["u"]["peers"]
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 0)])
+def test_gated_kinds_equal_the_ungated_step_tests(bounds):
+    # the entry-wise gate may only drop kinds whose test would reject the pair
+    states = list(enumerate_flood_states(*bounds))
+    for s, u in itertools.product(states, repeat=2):
+        accepted = {k for k, test in fn._STEP_TESTS.items() if test(s, u)}
+        assert set(fn.step_kinds(s, u)) == accepted, (s, u)
+        assert fn.is_step(s, u) == bool(accepted), (s, u)
 
 
 def test_cap_refusal_names_estimate():
@@ -121,8 +175,6 @@ def test_sampled_agreement_at_three_peer_bounds():
     # decided identically by the relation and the successor set
     import random
 
-    from pubsub_refine import broadcast_model as bn
-    from pubsub_refine.exhaustive import broadcast_successors
     from pubsub_refine.generate import GeneratorConfig, gen_good_state
     from pubsub_refine.refinement import refinement_map
 
