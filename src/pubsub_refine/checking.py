@@ -2,9 +2,10 @@
 
 For every consecutive pair (s, u) of a trace the checker runs the three
 obligations with w fixed to the image of s, records which specification
-step matched the constructed witness, and additionally verifies the trace
-soundness conditions (good states, consecutive states related by the step
-relation). Every checked step enters a report through CheckReport.add,
+step takes w to the witness v = label(u) (the only broadcast state related
+to u, so nothing is searched for or built), and additionally verifies the
+trace soundness conditions (good states, consecutive states related by the
+step relation). Every checked step enters a report through CheckReport.add,
 which makes the first unsound or failed step the counterexample, with the
 full state dumps. An unsound step is a counterexample whether the trace was
 generated or replayed: replay input cannot make a step unsound (scenario

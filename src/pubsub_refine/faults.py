@@ -77,8 +77,9 @@ def _report_for(fault: str) -> CheckReport:
         return clean
 
     if fault == "drop-receiver":
-        # a buggy matching-step constructor that loses one receiver of the
-        # partial broadcast; WFS3's validation of its witness must object
+        # a wrong witness that loses one receiver of the partial broadcast;
+        # WFS3 admits only label(u), the one broadcast state related to u,
+        # so its validation of this witness must object
         s, u = _flood_pair()
         w = refinement_map(s)
         corrupt = matching_step(s, u, w).with_peer(2, w.get(2))

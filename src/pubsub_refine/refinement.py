@@ -12,12 +12,11 @@ concrete states:
   WFS1  every good flood state is related to its mapped state,
   WFS2  related states carry the same label,
   WFS3  every step from s to u is matched by a step from any related w to
-        some v related to u. The matching v is built from the step's one
-        classification, not searched for or replayed: a forward that
-        empties a message's last pending copy maps to a partial broadcast
-        to exactly the peers that end up having seen the message; every
-        other flood step maps to the image of u (a skip when the image did
-        not move). The first case of w's step to v is the step's match.
+        some v related to u. That v is fixed, not built: it is label(u)
+        when w is a broadcast state and u itself when w is a flood state,
+        because steps never change the tag and those are the only states
+        of w's tag related to u. The check is that w steps to v and that u
+        is related to v; the first case of w's step to v is the match.
 
 A failed verdict is a counterexample to the refinement theorem and carries
 the offending states in its diagnostics.
@@ -84,35 +83,20 @@ def combined_step(s: Borf, u: Borf) -> bool:
 
 
 def matching_step(s: Borf, u: Borf, w: Borf) -> Borf:
-    """The constructed v with combined_step(w, v) and related(u, v).
+    """The one v that can match s -> u from w: label(u) for a broadcast w, else u.
 
     Requires related(s, w) and combined_step(s, u).
     """
     if not related(s, w):
         raise ContractError("matching-step: s and w are not related")
-    kinds = combined_step_kinds(s, u)
-    if not kinds:
+    if not combined_step(s, u):
         raise ContractError("matching-step: s does not step to u")
-    return _match(s, u, w, kinds)
+    return _match(u, w)
 
 
-def _match(s: Borf, u: Borf, w: Borf, kinds: tuple[str, ...]) -> Borf:
-    """The match of the step s -> u classified as kinds; replays nothing.
-
-    Unless s is a flood state and w its image, w equals s and takes the
-    very same step to u.
-    """
-    if not (isinstance(s, fn.FloodState) and isinstance(w, bn.BroadcastState)):
-        return u
-    if "skip" in kinds:
-        return w
-    mu = refinement_map(u)
-    if "forward" not in kinds or w == mu:
-        return mu
-    m = bn.message_witness(w, mu)
-    if m is None:
-        raise ContractError("matching-step: forward changed the mapped state without a witness message")
-    return bn.broadcast_partial(m, bn.message_receivers(m, mu), w)
+def _match(u: Borf, w: Borf) -> Borf:
+    """The only state of w's tag related to u; w's step to it is what WFS3 checks."""
+    return label(u) if isinstance(w, bn.BroadcastState) else u
 
 
 @dataclass(frozen=True)
@@ -121,8 +105,9 @@ class WfsVerdict:
 
     A verdict whose precondition failed is marked not applicable and never
     counts as a pass. Failed verdicts carry the violated conjunct and the
-    states involved in diagnostics; WFS3 verdicts carry the constructed
-    matching state as witness, and passing ones its first step case as match.
+    states involved in diagnostics; WFS3 verdicts carry their witness v, the
+    one state of w's tag related to u (label(u) for a broadcast w), and
+    passing ones the first case of w's step to v as match.
     """
 
     obligation: str
@@ -166,21 +151,16 @@ def check_wfs2(s: Borf, w: Borf) -> WfsVerdict:
 
 
 def check_wfs3(s: Borf, w: Borf, u: Borf, kinds: tuple[str, ...]) -> WfsVerdict:
-    """Each step s -> u is matched by w -> v with u related to v; kinds is combined_step_kinds(s, u)."""
+    """Each step s -> u is matched by w -> v with u related to v; kinds is combined_step_kinds(s, u).
+
+    v is label(u) for a broadcast w and u for a flood w: no other state of
+    w's tag is related to u, so it is the only witness to check.
+    """
     if not related(s, w):
         return WfsVerdict("WFS3", False, applicable=False, diagnostics="states are not related")
     if not kinds:
         return WfsVerdict("WFS3", False, applicable=False, diagnostics="s does not step to u")
-    try:
-        v = _match(s, u, w, kinds)
-    except ContractError as e:
-        return WfsVerdict(
-            "WFS3",
-            False,
-            diagnostics=f"matching step construction failed: {e}; "
-            f"{_dump('s', s)}; {_dump('u', u)}; {_dump('w', w)}",
-        )
-    return check_match(s, u, w, v)
+    return check_match(s, u, w, _match(u, w))
 
 
 def check_match(s: Borf, u: Borf, w: Borf, v: Borf) -> WfsVerdict:

@@ -62,6 +62,12 @@ def _parse_message(obj, path) -> Message:
     return Message.from_obj(obj)
 
 
+def _parse_digest(obj, key: str, path) -> str:
+    digest = obj.get(key, "")  # an empty digest is not verified
+    _require(isinstance(digest, str), "digest must be a string", f"{path}.{key}")
+    return digest
+
+
 def _parse_topic_set(obj, path) -> tuple[str, ...]:
     _require(isinstance(obj, list), "expected a list of topics", path)
     topics = tuple(_parse_topic(t, f"{path}[{i}]") for i, t in enumerate(obj))
@@ -165,8 +171,8 @@ def _parse_event(obj, index: int, path: str) -> TraceEvent:
         pubs=pubs,
         subs=subs,
         nbrs=nbrs,
-        pre_digest=str(obj.get("pre_digest", "")),
-        post_digest=str(obj.get("post_digest", "")),
+        pre_digest=_parse_digest(obj, "pre_digest", path),
+        post_digest=_parse_digest(obj, "post_digest", path),
     )
 
 

@@ -1,13 +1,15 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
 from pubsub_refine import runner, trace
-from pubsub_refine.checking import check_step, check_trace_refinement
+from pubsub_refine.checking import CheckReport, check_step, check_trace_refinement
 from pubsub_refine.core import Message
 from pubsub_refine.generate import GeneratorConfig
+from pubsub_refine.refinement import refinement_map
 from pubsub_refine.runner import fuzz_run
 from pubsub_refine.trace import TraceError, TraceEvent
 
@@ -52,6 +54,32 @@ def test_full_flood_matches_partial_broadcast():
     u = fn.forward(1, M, s)
     rec = check_step(0, s, u, "forward")
     assert rec.bn_match == "broadcast-partial"
+
+
+def test_a_forward_that_forgets_a_committed_message_fails_wfs3(monkeypatch):
+    # a buggy forward also drops the committed message a from the
+    # forwarder's seen set; the flood relation replays the same bug, so the
+    # step is a forward, and WFS3's one witness, the image of u, is not a
+    # spec step from the image of s
+    a = Message("a", "t0", 1)
+    x = Message("x", "t0", 1)
+    real = fn.forward
+
+    def forgetful_forward(p, m, s):
+        u = real(p, m, s)
+        return u.with_peer(p, replace(u.get(p), seen=tuple(y for y in u.get(p).seen if y != a)))
+
+    monkeypatch.setattr(fn, "forward", forgetful_forward)
+    s = flood([(1, fn.FloodPeer(pubs=("t0",), pending=(x,), seen=(a,))), (2, fn.FloodPeer(seen=(a,)))])
+    u = fn.forward(1, x, s)
+    report = CheckReport()
+    report.add(check_step(0, s, u, "forward"), s, u)
+    rec = report.steps[0]
+    assert rec.sound and rec.flood_matches == ("forward",)
+    assert [v.obligation for v in rec.failures] == ["WFS3"]
+    assert not report.ok
+    assert report.counterexample["reasons"][0].startswith("WFS3: w does not step to v")
+    assert report.counterexample["v"] == refinement_map(u).to_obj()
 
 
 def assert_unsound_counterexample(report, reason):

@@ -171,6 +171,13 @@ def test_run_rejects_json_nested_beyond_the_decoder(tmp_path, capsys):
     assert_usage_error(["run", str(deep)], capsys)
 
 
+def test_run_refuses_a_digest_that_is_not_a_string(tmp_path, capsys):
+    scenario = tmp_path / "digest.json"
+    scenario.write_text(json.dumps({"state": {"peers": {"1": {}}}, "events": [{"kind": "skip", "pre_digest": None}]}))
+    assert main(["run", str(scenario)]) == 2
+    assert capsys.readouterr().err == "error: events[0].pre_digest: digest must be a string\n"
+
+
 def test_run_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "latin.json"
     bad.write_bytes(b'{"state": {"peers": {}}, "events": [\xff]}')

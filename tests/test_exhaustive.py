@@ -154,6 +154,31 @@ def test_gated_kinds_equal_the_ungated_step_tests(bounds):
         assert fn.is_step(s, u) == bool(accepted), (s, u)
 
 
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 0)])
+def test_wfs3_matches_the_image_step_on_whole_universes(bounds):
+    # WFS3 admits one witness, the image of u: it passes exactly when the
+    # image of s steps to it, and its match is that step's first case
+    from pubsub_refine.refinement import check_wfs3, refinement_map
+
+    pools = universe_pools(*bounds)
+    checked = passed = 0
+    for s in enumerate_flood_states(*bounds):
+        if not fn.is_good_state(s):
+            continue
+        w = refinement_map(s)
+        for u in {u for _, u in flood_successors(s, *pools)}:
+            if not fn.is_good_state(u):
+                continue
+            verdict = check_wfs3(s, w, u, fn.step_kinds(s, u))
+            v = refinement_map(u)
+            assert verdict.passed == bn.is_step(w, v), (s, u)
+            assert verdict.witness == v
+            assert verdict.match == (bn.step_kinds(w, v) or (None,))[0]
+            checked += 1
+            passed += verdict.passed
+    assert checked > 100 and passed == checked
+
+
 def test_cap_refusal_names_estimate():
     with pytest.raises(ValueError, match="above the cap"):
         run_exhaustive(3, 2, 2, cap=100)

@@ -146,6 +146,20 @@ def test_accepts_explicit_event_index():
     assert events[0].index == 7
 
 
+@pytest.mark.parametrize("key", ["pre_digest", "post_digest"])
+@pytest.mark.parametrize("digest", [None, 0, False, 1.5, ["ab"], {}])
+def test_rejects_a_digest_that_is_not_a_string(key, digest, tmp_path):
+    # refused at the field, not reported at replay as a digest mismatch
+    assert_rejected_at(doc(events=[{"kind": "skip", key: digest}]), f"events[0].{key}", tmp_path)
+
+
+@pytest.mark.parametrize("digest", ["", "ab"])
+def test_a_string_digest_is_kept_and_an_empty_one_is_no_digest(digest):
+    _, events = parse_scenario(doc(events=[{"kind": "skip", "pre_digest": digest, "post_digest": digest}]))
+    assert events[0].pre_digest == events[0].post_digest == digest
+    assert ("pre_digest" in events[0].to_obj()) == bool(digest)
+
+
 # Property: parse_scenario either parses a document or raises ScenarioError;
 # any other exception fails the test.
 
