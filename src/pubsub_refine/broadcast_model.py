@@ -8,7 +8,10 @@ multi-hop flood collapses to under the refinement map once churn is allowed.
 The step relation is a disjunction of seven cases. Each case recovers the
 transition's hidden arguments from the (pre, post) state pair with a witness
 function and then checks that replaying the transition with those arguments
-reproduces the post state exactly.
+reproduces the post state exactly. The subscription and membership cases
+share core.topics_witness and core.join_witness with the flood model.
+step_kind names the first accepting case, which is the match a WFS3 verdict
+reports; is_step asks whether there is one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ from .core import (
     first_difference,
     insert_unique,
     is_ascending,
+    join_witness,
     ordered_set,
+    topics_witness,
     union_sets,
 )
 
@@ -136,11 +141,6 @@ def leave(p: PeerId, s: BroadcastState) -> BroadcastState:
     return s.without_peer(p)
 
 
-# Witness functions. Each walks the two entry sequences in lock step with
-# first_difference and reads the transition's arguments off the first
-# position where the states disagree.
-
-
 def message_witness(s: BroadcastState, u: BroadcastState) -> Message | None:
     """The message that was delivered between s and u, if one exists.
 
@@ -154,30 +154,6 @@ def message_witness(s: BroadcastState, u: BroadcastState) -> Message | None:
         return None
     gained = difference(eu[i][1].seen, es[i][1].seen)
     return gained[0] if gained else None
-
-
-def topics_witness(s: BroadcastState, u: BroadcastState) -> tuple[PeerId, tuple[Topic, ...]] | None:
-    """The peer and the topics it gained between s and u, if any."""
-    es, eu = s.entries, u.entries
-    i = first_difference(es, eu)
-    if i == len(es) or i == len(eu):
-        return None
-    (p, pst), (q, qst) = es[i], eu[i]
-    if p != q:
-        return None
-    gained = difference(qst.subs, pst.subs)
-    return (p, gained) if gained else None
-
-
-def join_witness(s: BroadcastState, u: BroadcastState) -> tuple[PeerId, BroadcastPeer] | None:
-    """The peer entry present in u but not in s, if the walk finds one."""
-    es, eu = s.entries, u.entries
-    i = first_difference(es, eu)
-    if i == len(eu):
-        return None
-    if i == len(es) or es[i][0] != eu[i][0]:
-        return eu[i]
-    return None
 
 
 # The seven step cases and their disjunction.
@@ -205,12 +181,12 @@ def is_broadcast_partial_step(s: BroadcastState, u: BroadcastState) -> bool:
 
 def is_subscribe_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = topics_witness(s, u)
-    return w is not None and w[0] in s and u == subscribe(w[0], w[1], s)
+    return w is not None and u == subscribe(w[0], w[1], s)
 
 
 def is_unsubscribe_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = topics_witness(u, s)  # reversed: topics present in s but dropped in u
-    return w is not None and w[0] in s and u == unsubscribe(w[0], w[1], s)
+    return w is not None and u == unsubscribe(w[0], w[1], s)
 
 
 def is_join_step(s: BroadcastState, u: BroadcastState) -> bool:
@@ -223,28 +199,28 @@ def is_join_step(s: BroadcastState, u: BroadcastState) -> bool:
 
 def is_leave_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    return w is not None and w[0] in s and u == leave(w[0], s)
+    return w is not None and u == leave(w[0], s)
 
 
-_STEP_TESTS = (
-    ("skip", is_skip_step),
-    ("broadcast", is_broadcast_step),
-    ("broadcast-partial", is_broadcast_partial_step),
-    ("subscribe", is_subscribe_step),
-    ("unsubscribe", is_unsubscribe_step),
-    ("join", is_join_step),
-    ("leave", is_leave_step),
-)
+_STEP_TESTS = {
+    "skip": is_skip_step,
+    "broadcast": is_broadcast_step,
+    "broadcast-partial": is_broadcast_partial_step,
+    "subscribe": is_subscribe_step,
+    "unsubscribe": is_unsubscribe_step,
+    "join": is_join_step,
+    "leave": is_leave_step,
+}
 
 
-def step_kinds(s: BroadcastState, u: BroadcastState) -> tuple[str, ...]:
-    """All step cases that accept (s, u); used for match diagnostics."""
-    return tuple(name for name, test in _STEP_TESTS if test(s, u))
+def step_kind(s: BroadcastState, u: BroadcastState) -> str | None:
+    """The first step case, in STEP_KINDS order, that accepts (s, u), or None."""
+    for kind, test in _STEP_TESTS.items():
+        if test(s, u):
+            return kind
+    return None
 
 
 def is_step(s: BroadcastState, u: BroadcastState) -> bool:
     """The transition relation: any of the seven cases accepts (s, u)."""
-    for _, test in _STEP_TESTS:
-        if test(s, u):
-            return True
-    return False
+    return step_kind(s, u) is not None

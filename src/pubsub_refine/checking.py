@@ -129,7 +129,7 @@ def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> Ste
         issues.append("no flood transition relates the states")
 
     w = refinement_map(s)
-    # combined_step_kinds(s, u), read off the one flood classification
+    # the cases of the combined step s -> u, read off the one flood classification
     v3 = check_wfs3(s, w, u, flood_matches if good_s and good_u else ())
     return StepRecord(
         index=index,

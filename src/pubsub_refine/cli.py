@@ -50,6 +50,8 @@ def _parse_weights(raw: str) -> dict[str, float]:
 
 def _unwritable(path: str) -> str | None:
     """Why a report cannot be written to path, or None; creates nothing."""
+    if not path:
+        return "the path is empty"
     if os.path.isdir(path):
         return "is a directory"
     parent = os.path.dirname(path) or "."
@@ -146,9 +148,10 @@ def _fuzz_config(args) -> GeneratorConfig:
 
 
 def _run(args) -> int:
-    problem = getattr(args, "report", None) and _unwritable(args.report)
+    path = getattr(args, "report", None)
+    problem = path is not None and _unwritable(path)
     if problem:
-        return _usage_error(f"cannot write report {args.report}: {problem}")
+        return _usage_error(f"cannot write report {path!r}: {problem}")
 
     if args.command == "enumerate":
         try:

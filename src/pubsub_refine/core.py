@@ -5,7 +5,8 @@ tuple of (key, value) pairs with strictly ascending keys. With that
 representation, set and map equality reduce to plain sequence equality,
 which the witness functions and the refinement checkers rely on. Both
 models' states are a PeerMap, and every witness function walks two of them
-with first_difference.
+with first_difference; the subscription and membership witnesses,
+topics_witness and join_witness, serve both models.
 """
 
 from __future__ import annotations
@@ -180,6 +181,37 @@ def first_difference(xs: Sequence[T], ys: Sequence[T], same: Callable[[T, T], bo
         if not same(x, y):
             return i
     return min(len(xs), len(ys))
+
+
+def topics_witness(s: PeerMap, u: PeerMap) -> tuple[PeerId, tuple[Topic, ...]] | None:
+    """The peer and the topics it gained between s and u, if any.
+
+    Entries are skipped while key and subs agree, so changes to other
+    fields (a flood subscription's updates to the trackers' nsubs maps)
+    are walked past. The peer is a key of both states.
+    """
+    es, eu = s.entries, u.entries
+    i = first_difference(es, eu, lambda a, b: a[0] == b[0] and a[1].subs == b[1].subs)
+    if i == len(es) or i == len(eu):
+        return None
+    (p, pst), (q, qst) = es[i], eu[i]
+    if p != q:
+        return None
+    gained = difference(qst.subs, pst.subs)
+    return (p, gained) if gained else None
+
+
+def join_witness(s: PeerMap[V], u: PeerMap[V]) -> tuple[PeerId, V] | None:
+    """The first entry of u whose key s does not hold at that position, comparing keys only.
+
+    The entry's peer may still be a key of s elsewhere (s={1,2}, u={2}
+    yields peer 2), so a join case must test that it is new.
+    """
+    es, eu = s.entries, u.entries
+    i = first_difference(es, eu, lambda a, b: a[0] == b[0])
+    if i == len(eu):
+        return None
+    return eu[i]
 
 
 def canonical_json(obj) -> str:

@@ -17,12 +17,12 @@ first_difference, reads the transition's arguments off the first
 difference, replays that one transition and demands exact equality. The
 produced message heads the pending set of the first changed entry; the
 forwarded message is the first one that some pending set lost, since
-neighbors only gain messages. The topics and join walks are deliberately
-coarser than their specification-side counterparts: subscribe/unsubscribe
-and join also touch *other* peers' nsubs maps, so the topics walk skips
-entries whenever key and subs agree, and the join walk compares keys only.
-Replay equality still decides every case, so no witness can produce a
-false positive.
+neighbors only gain messages. The topics and join walks,
+core.topics_witness and core.join_witness, are the ones the specification
+side uses too: subscribe/unsubscribe and join also touch *other* peers'
+nsubs maps, so the topics walk skips entries whenever key and subs agree,
+and the join walk compares keys only. Replay equality still decides every
+case, so no witness can produce a false positive.
 """
 
 from __future__ import annotations
@@ -40,10 +40,12 @@ from .core import (
     first_difference,
     insert_unique,
     is_ascending,
+    join_witness,
     map_delete,
     map_get,
     map_set,
     ordered_set,
+    topics_witness,
     union_sets,
 )
 
@@ -265,32 +267,6 @@ def leave(p: PeerId, s: FloodState) -> FloodState:
     return s.without_peer(p)
 
 
-def topics_witness(s: FloodState, u: FloodState) -> tuple[PeerId, tuple[Topic, ...]] | None:
-    """The peer and the topics it gained between s and u, if any.
-
-    Entries are skipped while key and subs agree, so nsubs updates made on
-    behalf of another peer's subscription change are ignored.
-    """
-    es, eu = s.entries, u.entries
-    i = first_difference(es, eu, lambda a, b: a[0] == b[0] and a[1].subs == b[1].subs)
-    if i == len(es) or i == len(eu):
-        return None
-    (p, pst), (q, qst) = es[i], eu[i]
-    if p != q:
-        return None
-    gained = difference(qst.subs, pst.subs)
-    return (p, gained) if gained else None
-
-
-def join_witness(s: FloodState, u: FloodState) -> tuple[PeerId, FloodPeer] | None:
-    """The peer entry present in u but not in s, comparing keys only."""
-    es, eu = s.entries, u.entries
-    i = first_difference(es, eu, lambda a, b: a[0] == b[0])
-    if i == len(eu):
-        return None
-    return eu[i]
-
-
 def _keeps_pending(a, b) -> bool:
     """Entries a and b have one key and b's pending set keeps all of a's."""
     return a == b or (a[0] == b[0] and not difference(a[1].pending, b[1].pending))
@@ -351,17 +327,15 @@ def is_forward_step(s: FloodState, u: FloodState) -> bool:
 
 def is_subscribe_step(s: FloodState, u: FloodState) -> bool:
     w = topics_witness(s, u)
-    return w is not None and w[0] in s and u == subscribe(w[0], w[1], s)
+    return w is not None and u == subscribe(w[0], w[1], s)
 
 
 def is_unsubscribe_step(s: FloodState, u: FloodState) -> bool:
     w = topics_witness(u, s)  # reversed: topics present in s but dropped in u
-    return w is not None and w[0] in s and u == unsubscribe(w[0], w[1], s)
+    return w is not None and u == unsubscribe(w[0], w[1], s)
 
 
 def is_join_step(s: FloodState, u: FloodState) -> bool:
-    if len(u.entries) != len(s.entries) + 1:
-        return False
     w = join_witness(s, u)
     if w is None:
         return False
@@ -371,17 +345,9 @@ def is_join_step(s: FloodState, u: FloodState) -> bool:
 
 
 def is_leave_step(s: FloodState, u: FloodState) -> bool:
-    if len(u.entries) != len(s.entries) - 1:
-        return False
     w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    if w is None:
-        return False
-    p, pst = w
-    if p not in s:
-        return False
-    if s.get(p).pending:  # graceful exit only: no pending message may be lost
-        return False
-    return u == leave(p, s)
+    # graceful exit only: no pending message may be lost
+    return w is not None and not w[1].pending and u == leave(w[0], s)
 
 
 _STEP_TESTS = {

@@ -52,8 +52,11 @@ class GeneratorConfig:
         bad = sorted(k for k, w in self.weights.items() if not 0 <= float(w) < math.inf)
         if bad:
             raise ValueError(f"weights must be finite and non-negative: {', '.join(bad)}")
-        if not any(w > 0 for w in self.effective_weights().values()):
+        total = sum(self.effective_weights().values())
+        if not total:
             raise ValueError("at least one transition weight must be positive")
+        if total == math.inf:
+            raise ValueError("the transition weights must have a finite total")
 
     def effective_weights(self) -> dict[str, float]:
         weights = {k: float(self.weights.get(k, 0.0)) for k in fn.STEP_KINDS}

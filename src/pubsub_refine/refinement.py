@@ -16,7 +16,8 @@ concrete states:
         when w is a broadcast state and u itself when w is a flood state,
         because steps never change the tag and those are the only states
         of w's tag related to u. The check is that w steps to v and that u
-        is related to v; the first case of w's step to v is the match.
+        is related to v; the match is combined_step_kind(w, v), the first
+        case of that step, and no later case is tried.
 
 A failed verdict is a counterexample to the refinement theorem and carries
 the offending states in its diagnostics.
@@ -68,18 +69,20 @@ def related(x: Borf, y: Borf) -> bool:
     return wf_related(x, y) or x == y
 
 
-def combined_step_kinds(s: Borf, u: Borf) -> tuple[str, ...]:
-    """Flood kinds between good flood states, spec kinds between broadcast states, else ()."""
+def combined_step_kind(s: Borf, u: Borf) -> str | None:
+    """The first case of the step s -> u: a flood kind between good flood
+    states, a spec kind between broadcast states; None if there is no step."""
     if isinstance(s, fn.FloodState) and isinstance(u, fn.FloodState):
-        return fn.step_kinds(s, u) if fn.is_good_state(s) and fn.is_good_state(u) else ()
+        kinds = fn.step_kinds(s, u) if fn.is_good_state(s) and fn.is_good_state(u) else ()
+        return kinds[0] if kinds else None
     if isinstance(s, bn.BroadcastState) and isinstance(u, bn.BroadcastState):
-        return bn.step_kinds(s, u)
-    return ()
+        return bn.step_kind(s, u)
+    return None
 
 
 def combined_step(s: Borf, u: Borf) -> bool:
     """Step relation of the combined system; mixed tags never step."""
-    return bool(combined_step_kinds(s, u))
+    return combined_step_kind(s, u) is not None
 
 
 def matching_step(s: Borf, u: Borf, w: Borf) -> Borf:
@@ -151,8 +154,10 @@ def check_wfs2(s: Borf, w: Borf) -> WfsVerdict:
 
 
 def check_wfs3(s: Borf, w: Borf, u: Borf, kinds: tuple[str, ...]) -> WfsVerdict:
-    """Each step s -> u is matched by w -> v with u related to v; kinds is combined_step_kinds(s, u).
+    """Each step s -> u is matched by w -> v with u related to v.
 
+    kinds are the cases of the step s -> u, empty when there is none: for
+    flood states fn.step_kinds(s, u) if both are good, else ().
     v is label(u) for a broadcast w and u for a flood w: no other state of
     w's tag is related to u, so it is the only witness to check.
     """
@@ -165,9 +170,9 @@ def check_wfs3(s: Borf, w: Borf, u: Borf, kinds: tuple[str, ...]) -> WfsVerdict:
 
 def check_match(s: Borf, u: Borf, w: Borf, v: Borf) -> WfsVerdict:
     """Validate the WFS3 witness v of the step s -> u: w steps to v and u is related to v."""
-    kinds = combined_step_kinds(w, v)
+    kind = combined_step_kind(w, v)
     failures = []
-    if not kinds:
+    if kind is None:
         failures.append("w does not step to v")
     if not related(u, v):
         failures.append("u and v are not related")
@@ -177,4 +182,4 @@ def check_match(s: Borf, u: Borf, w: Borf, v: Borf) -> WfsVerdict:
             f"{_dump('s', s)}; {_dump('u', u)}; {_dump('w', w)}; {_dump('v', v)}"
         )
         return WfsVerdict("WFS3", False, witness=v, diagnostics=diag)
-    return WfsVerdict("WFS3", True, witness=v, match=kinds[0])
+    return WfsVerdict("WFS3", True, witness=v, match=kind)

@@ -1,18 +1,27 @@
-"""The traced benchmark run looks package functions up by name.
+"""The benchmark looks package functions up by name and copies some of its facts.
 
 perfbench/traced_cli.py wraps functions at the module attributes their
 callers use and reads each lru_cache's statistics. A refactor that renames
 or moves one of them would break ``perfbench/run.py --trace 1`` without
 failing any other test, so these tests load the script and resolve every
-name it uses.
+name it uses. perfbench/run.py keeps its own copies of the flood step
+kinds, the built-in faults and the enumerate counts it gates on; these
+tests hold them to the package's.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+from pubsub_refine import faults
+from pubsub_refine import flood_model as fn
+from pubsub_refine.exhaustive import run_exhaustive
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED_CLI = PERFBENCH / "traced_cli.py"
+RUN = PERFBENCH / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -33,3 +42,30 @@ def test_every_traced_cache_reports_its_statistics(traced_cli):
     for name, cached in traced_cli.CACHES.items():
         info = cached.cache_info()
         assert info.maxsize, name
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    name = "perfbench_run"
+    spec = importlib.util.spec_from_file_location(name, RUN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+def test_benchmark_step_kinds_are_the_flood_kinds(bench_run):
+    assert bench_run.STEP_KINDS == fn.STEP_KINDS
+
+
+def test_benchmark_faults_are_the_built_in_faults(bench_run):
+    assert (*bench_run.FAULTS, "none") == faults.FAULTS
+
+
+def test_benchmark_enumerate_counts_match_the_oracle(bench_run):
+    want = bench_run.ENUMERATE_COUNTS[(1, 1, 1)]
+    got = run_exhaustive(1, 1, 1).to_obj()
+    assert {key: got[key] for key in want} == want

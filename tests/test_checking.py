@@ -143,17 +143,26 @@ def test_check_step_classifies_a_forward_once(monkeypatch, receiver, match):
     s = flood([(1, fn.FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),), pending=(M,))), (2, receiver)])
     u = fn.forward(1, M, s)
     calls = Counter()
-    counted = ((fn, "step_kinds"), (bn, "step_kinds"), (fn, "is_step"), (bn, "is_step"), (fn, "forward"))
+    counted = ((fn, "step_kinds"), (bn, "step_kind"), (fn, "is_step"), (bn, "is_step"), (fn, "forward"))
     for module, name in counted:
         def counting(*args, _f=getattr(module, name), _key=f"{module.__name__}.{name}"):
             calls[_key] += 1
             return _f(*args)
 
         monkeypatch.setattr(module, name, counting)
+    # the spec cases after the match must not run
+    later = list(bn._STEP_TESTS)[list(bn._STEP_TESTS).index(match) + 1:]
+    for kind in later:
+        def never(s, u, _key=f"after the match: {kind}"):
+            calls[_key] += 1
+            return False
+
+        monkeypatch.setitem(bn._STEP_TESTS, kind, never)
     rec = check_step(0, s, u, "forward")
     assert rec.bn_match == match and all(v.passed for v in rec.verdicts)
     assert calls["pubsub_refine.flood_model.step_kinds"] == 1
-    assert calls["pubsub_refine.broadcast_model.step_kinds"] == 1
+    assert calls["pubsub_refine.broadcast_model.step_kind"] == 1
+    assert later and not [key for key in calls if key.startswith("after the match")]
     assert calls["pubsub_refine.flood_model.is_step"] == 0
     assert calls["pubsub_refine.broadcast_model.is_step"] == 0
     assert calls["pubsub_refine.flood_model.forward"] <= 1

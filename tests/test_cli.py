@@ -154,6 +154,14 @@ def test_fuzz_rejects_weights_that_are_not_finite_and_non_negative(weight, capsy
     assert_usage_error(["fuzz", "--weights", f"forward={weight}"], capsys)
 
 
+def test_fuzz_rejects_finite_weights_whose_total_overflows(capsys):
+    # each weight is finite, but their sum is not; sampling would crash on it
+    argv = ["fuzz", "--max-peers", "3", "--traces", "1", "--steps", "1"]
+    assert_usage_error(argv + ["--weights", "join=1e308,skip=1e308"], capsys)
+    # a churn weight that --static zeroes does not count towards the total
+    assert main(argv + ["--static", "--weights", "join=1e308,skip=1e308"]) == 0
+
+
 @pytest.mark.parametrize("bounds", [("-1", "1", "0"), ("1", "-1", "0"), ("1", "1", "-1")])
 def test_enumerate_rejects_negative_bounds(bounds, capsys):
     peers, topics, messages = bounds
@@ -196,6 +204,8 @@ def test_unwritable_report_is_refused_before_any_check(argv, checker, tmp_path, 
     monkeypatch.setattr(cli, checker, must_not_run)
     assert_usage_error(argv + ["--report", str(tmp_path / "missing" / "x.json")], capsys)
     assert_usage_error(argv + ["--report", str(tmp_path)], capsys)
+    monkeypatch.chdir(tmp_path)
+    assert_usage_error(argv + ["--report", ""], capsys)  # an empty path is not stdout
     assert list(tmp_path.iterdir()) == []
 
 

@@ -144,14 +144,31 @@ def test_successor_outside_the_universe_is_a_discrepancy(monkeypatch, capsys):
     assert "5" in first["u"]["peers"]
 
 
-@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 0)])
-def test_gated_kinds_equal_the_ungated_step_tests(bounds):
-    # the entry-wise gate may only drop kinds whose test would reject the pair
-    states = list(enumerate_flood_states(*bounds))
-    for s, u in itertools.product(states, repeat=2):
-        accepted = {k for k, test in fn._STEP_TESTS.items() if test(s, u)}
-        assert set(fn.step_kinds(s, u)) == accepted, (s, u)
-        assert fn.is_step(s, u) == bool(accepted), (s, u)
+@pytest.mark.parametrize("model, states, successors, bounds", [
+    (fn, enumerate_flood_states, flood_successors, (1, 1, 2)),
+    (fn, enumerate_flood_states, flood_successors, (2, 1, 0)),
+    (bn, enumerate_broadcast_states, broadcast_successors, (2, 1, 2)),
+], ids=["flood-1-1-2", "flood-2-1-0", "broadcast-2-1-2"])
+def test_step_cases_agree_with_the_successor_kinds(model, states, successors, bounds):
+    # each case accepts a pair u != s exactly when its transition yields u
+    # from s (u == s is only ever a skip: a no-op subscribe or an empty
+    # partial broadcast also yields s); the flood gate may only drop kinds
+    # whose test would reject the pair, and the spec classifier names the
+    # first accepting case
+    universe = list(states(*bounds))
+    pools = universe_pools(*bounds)
+    for s in universe:
+        generated = {}
+        for kind, u in successors(s, *pools):
+            generated.setdefault(u, set()).add(kind)
+        for u in universe:
+            accepted = [k for k, test in model._STEP_TESTS.items() if test(s, u)]
+            assert set(accepted) == ({"skip"} if u == s else generated.get(u, set())), (s, u)
+            if model is fn:
+                assert set(fn.step_kinds(s, u)) == set(accepted), (s, u)
+            else:
+                assert bn.step_kind(s, u) == (accepted or [None])[0], (s, u)
+            assert model.is_step(s, u) == bool(accepted), (s, u)
 
 
 @pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 0)])
@@ -173,7 +190,7 @@ def test_wfs3_matches_the_image_step_on_whole_universes(bounds):
             v = refinement_map(u)
             assert verdict.passed == bn.is_step(w, v), (s, u)
             assert verdict.witness == v
-            assert verdict.match == (bn.step_kinds(w, v) or (None,))[0]
+            assert verdict.match == next((k for k, test in bn._STEP_TESTS.items() if test(w, v)), None)
             checked += 1
             passed += verdict.passed
     assert checked > 100 and passed == checked

@@ -1,6 +1,6 @@
 import pytest
 
-from pubsub_refine.core import ContractError, Message, insert_unique, ordered_set
+from pubsub_refine.core import ContractError, Message, insert_unique, join_witness, ordered_set, topics_witness
 from pubsub_refine.flood_model import (
     FloodPeer,
     FloodState,
@@ -10,14 +10,12 @@ from pubsub_refine.flood_model import (
     is_new_message,
     is_step,
     join,
-    join_witness,
     leave,
     pending_messages,
     produce,
     self_tracking_violations,
     step_kinds,
     subscribe,
-    topics_witness,
     tracked_peers,
     unordered_seen_violations,
     unsubscribe,
