@@ -5,16 +5,18 @@ obligations with w fixed to the image of s, records which specification
 step takes w to the witness v = label(u) (the only broadcast state related
 to u, so nothing is searched for or built), and additionally verifies the
 trace soundness conditions (good states, consecutive states related by the
-step relation). Every checked step enters a report through CheckReport.add,
-which makes the first unsound or failed step the counterexample, with the
-full state dumps. An unsound step is a counterexample whether the trace was
-generated or replayed: replay input cannot make a step unsound (scenario
-states must be good and events enabled), so one comes from the model.
+step relation). check_step is the one place a StepRecord is built: fuzzed
+and replayed steps, a non-good fuzz start state (as the step s -> s) and
+the planted faults all go through it. Every checked step enters a report
+through CheckReport.add, which makes the first unsound or failed step the
+counterexample, with the full state dumps. An unsound step is a
+counterexample whether the trace was generated or replayed: replay input
+cannot make a step unsound (scenario states must be good and events
+enabled), so one comes from the model.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import pairwise
 
@@ -151,9 +153,7 @@ def check_trace_refinement(states, kinds, config: dict | None = None) -> CheckRe
     Each step goes through CheckReport.add, so the first unsound or failed
     step becomes the counterexample.
     """
-    start = time.monotonic()
     report = CheckReport(config=config or {})
     for i, ((s, u), kind) in enumerate(zip(pairwise(states), kinds, strict=True)):
         report.add(check_step(i, s, u, kind), s, u)
-    report.elapsed_seconds = time.monotonic() - start
     return report

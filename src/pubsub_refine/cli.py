@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .checking import emit_report
 from .core import indented_json
@@ -153,11 +154,13 @@ def _run(args) -> int:
     if problem:
         return _usage_error(f"cannot write report {path!r}: {problem}")
 
+    start = time.monotonic()
     if args.command == "enumerate":
         try:
             report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
         except ValueError as e:
             return _usage_error(e)
+        report.elapsed_seconds = time.monotonic() - start
         print(indented_json(report.to_obj()))
         return 0 if report.ok else 1
 
@@ -174,6 +177,7 @@ def _run(args) -> int:
             return _usage_error(e)
     else:
         report = run_fault(args.fault)
+    report.elapsed_seconds = time.monotonic() - start
     _write_report(report, args.report)
     print(_summarize(report), file=sys.stderr)
     return 0 if report.ok else 1

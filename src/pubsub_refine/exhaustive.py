@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 from . import broadcast_model as bn
@@ -249,7 +248,6 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
             f"bounds ({peers} peers, {topics} topics, {messages} messages) "
             f"yield more flood states than {cap}, above the cap"
         )
-    start = time.monotonic()
     report = ExhaustiveReport(bounds={"peers": peers, "topics": topics, "messages": messages})
     peer_pool, topic_pool, msg_pool = universe_pools(peers, topics, messages)
 
@@ -288,5 +286,4 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
         report, "broadcast-relation-agreement", broadcast_states, broadcast_succ, bn.is_step
     )
 
-    report.elapsed_seconds = time.monotonic() - start
     return report

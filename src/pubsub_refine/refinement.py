@@ -15,9 +15,10 @@ concrete states:
         some v related to u. That v is fixed, not built: it is label(u)
         when w is a broadcast state and u itself when w is a flood state,
         because steps never change the tag and those are the only states
-        of w's tag related to u. The check is that w steps to v and that u
-        is related to v; the match is combined_step_kind(w, v), the first
-        case of that step, and no later case is tried.
+        of w's tag related to u. So u is related to v by definition (a
+        step of the combined system ends in a good state), and the check
+        is only that w steps to v; the match is combined_step_kind(w, v),
+        the first case of that step, and no later case is tried.
 
 A failed verdict is a counterexample to the refinement theorem and carries
 the offending states in its diagnostics.
@@ -31,7 +32,7 @@ from typing import Union
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import ContractError, difference
+from .core import difference
 
 Borf = Union[bn.BroadcastState, fn.FloodState]
 
@@ -78,28 +79,6 @@ def combined_step_kind(s: Borf, u: Borf) -> str | None:
     if isinstance(s, bn.BroadcastState) and isinstance(u, bn.BroadcastState):
         return bn.step_kind(s, u)
     return None
-
-
-def combined_step(s: Borf, u: Borf) -> bool:
-    """Step relation of the combined system; mixed tags never step."""
-    return combined_step_kind(s, u) is not None
-
-
-def matching_step(s: Borf, u: Borf, w: Borf) -> Borf:
-    """The one v that can match s -> u from w: label(u) for a broadcast w, else u.
-
-    Requires related(s, w) and combined_step(s, u).
-    """
-    if not related(s, w):
-        raise ContractError("matching-step: s and w are not related")
-    if not combined_step(s, u):
-        raise ContractError("matching-step: s does not step to u")
-    return _match(u, w)
-
-
-def _match(u: Borf, w: Borf) -> Borf:
-    """The only state of w's tag related to u; w's step to it is what WFS3 checks."""
-    return label(u) if isinstance(w, bn.BroadcastState) else u
 
 
 @dataclass(frozen=True)
@@ -154,32 +133,20 @@ def check_wfs2(s: Borf, w: Borf) -> WfsVerdict:
 
 
 def check_wfs3(s: Borf, w: Borf, u: Borf, kinds: tuple[str, ...]) -> WfsVerdict:
-    """Each step s -> u is matched by w -> v with u related to v.
+    """Each step s -> u is matched by w -> v, where v is the one state of w's
+    tag related to u: label(u) for a broadcast w, u for a flood w.
 
     kinds are the cases of the step s -> u, empty when there is none: for
-    flood states fn.step_kinds(s, u) if both are good, else ().
-    v is label(u) for a broadcast w and u for a flood w: no other state of
-    w's tag is related to u, so it is the only witness to check.
+    flood states fn.step_kinds(s, u) if both are good, else (). A step ends
+    in a good state, so u is related to v and only w -> v is checked.
     """
     if not related(s, w):
         return WfsVerdict("WFS3", False, applicable=False, diagnostics="states are not related")
     if not kinds:
         return WfsVerdict("WFS3", False, applicable=False, diagnostics="s does not step to u")
-    return check_match(s, u, w, _match(u, w))
-
-
-def check_match(s: Borf, u: Borf, w: Borf, v: Borf) -> WfsVerdict:
-    """Validate the WFS3 witness v of the step s -> u: w steps to v and u is related to v."""
+    v = label(u) if isinstance(w, bn.BroadcastState) else u
     kind = combined_step_kind(w, v)
-    failures = []
     if kind is None:
-        failures.append("w does not step to v")
-    if not related(u, v):
-        failures.append("u and v are not related")
-    if failures:
-        diag = (
-            f"{'; '.join(failures)}; "
-            f"{_dump('s', s)}; {_dump('u', u)}; {_dump('w', w)}; {_dump('v', v)}"
-        )
+        diag = f"w does not step to v; {_dump('s', s)}; {_dump('u', u)}; {_dump('w', w)}; {_dump('v', v)}"
         return WfsVerdict("WFS3", False, witness=v, diagnostics=diag)
     return WfsVerdict("WFS3", True, witness=v, match=kind)

@@ -6,10 +6,12 @@ or moves one of them would break ``perfbench/run.py --trace 1`` without
 failing any other test, so these tests load the script and resolve every
 name it uses. perfbench/run.py keeps its own copies of the flood step
 kinds, the built-in faults and the enumerate counts it gates on; these
-tests hold them to the package's.
+tests hold them to the package's, and run a passing report through its
+report judge.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 
 from pubsub_refine import faults
 from pubsub_refine import flood_model as fn
+from pubsub_refine.checking import check_trace_refinement, emit_report
 from pubsub_refine.exhaustive import run_exhaustive
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -69,3 +72,12 @@ def test_benchmark_enumerate_counts_match_the_oracle(bench_run):
     want = bench_run.ENUMERATE_COUNTS[(1, 1, 1)]
     got = run_exhaustive(1, 1, 1).to_obj()
     assert {key: got[key] for key in want} == want
+
+
+def test_a_passing_report_passes_the_benchmark_judge(bench_run):
+    # the judge gates on the report's totals, so a format change must keep them
+    s = fn.FloodState(((1, fn.FloodPeer()),))
+    report = json.loads(emit_report(check_trace_refinement([s, s], kinds=["skip"])))
+    verdict = bench_run.judge_check_report(1)(report)
+    assert verdict.problems == [] and verdict.failed == 0
+    assert (verdict.checks, verdict.pairs) == (1, 1)

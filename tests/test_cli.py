@@ -1,11 +1,13 @@
 import json
+import time
 from importlib import resources
 
 import pytest
 
-from pubsub_refine import cli
+from pubsub_refine import cli, runner
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
+from pubsub_refine.generate import GeneratorConfig
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
 
@@ -65,6 +67,39 @@ def test_run_scenario(tmp_path):
     assert [s["bn_match"] for s in report["steps"]] == [
         "skip", "skip", "leave", "unsubscribe", "unsubscribe", "broadcast-partial",
     ]
+
+
+def test_run_times_the_whole_command(tmp_path, monkeypatch):
+    # the clock starts before the scenario is loaded and replayed
+    real = runner.run_trace
+
+    def slow_run_trace(*args, **kwargs):
+        time.sleep(0.2)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_trace", slow_run_trace)
+    out = tmp_path / "r.json"
+    with resources.as_file(FIGURE1) as path:
+        assert main(["run", str(path), "--report", str(out)]) == 0
+    assert json.loads(out.read_text())["elapsed_seconds"] >= 0.2
+
+
+def test_a_generated_start_state_that_is_not_good_is_a_counterexample(monkeypatch, capsys):
+    # the generator's good-state guarantee is checked, not trusted
+    bad = fn.FloodState(((1, fn.FloodPeer(subs=("t0",), nsubs=(("t0", (1,)),))),))
+    monkeypatch.setattr(runner, "gen_good_state", lambda cfg, rng: bad)
+    report = runner.fuzz_run(GeneratorConfig(steps=3, seed=1), traces=2)
+    assert not report.ok
+    assert report.counterexample["reasons"] == [
+        "pre-state violates good-state invariants at peers (1,)",
+        "post-state violates good-state invariants at peers (1,)",
+    ]
+    rec = report.steps[0]
+    assert rec.kind == "init" and not rec.sound
+    assert [v.obligation for v in rec.verdicts] == ["WFS1", "WFS2", "WFS3"]
+    assert not any(v.applicable for v in rec.verdicts)
+    assert main(["fuzz", "--traces", "1", "--steps", "1"]) == 1
+    assert capsys.readouterr().err.startswith("FAIL: 1 steps")
 
 
 def test_run_rejects_bad_input(tmp_path):

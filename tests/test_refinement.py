@@ -1,16 +1,12 @@
-import pytest
-
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
-from pubsub_refine.core import ContractError, Message, difference
+from pubsub_refine.core import Message, difference
 from pubsub_refine.refinement import (
-    check_match,
     check_wfs1,
     check_wfs2,
     check_wfs3,
-    combined_step,
+    combined_step_kind,
     label,
-    matching_step,
     refinement_map,
     related,
     wf_related,
@@ -82,29 +78,38 @@ def test_related_cases():
 def test_combined_step_tags():
     s = fstate(**{"1": fpeer()})
     b = refinement_map(s)
-    assert combined_step(s, s)
-    assert combined_step(b, b)
-    assert not combined_step(s, b)
-    assert not combined_step(b, s)
+    assert combined_step_kind(s, s) is not None
+    assert combined_step_kind(b, b) is not None
+    assert combined_step_kind(s, b) is None
+    assert combined_step_kind(b, s) is None
 
 
 def test_combined_step_good_forward():
     s = fstate(**{"1": fpeer(nsubs={"t1": (2,)}, pending=[M]), "2": fpeer(subs=["t1"])})
     u = fn.forward(1, M, s)
-    assert combined_step(s, u)
+    assert combined_step_kind(s, u) is not None
 
 
 def test_combined_step_rejects_bad_states():
     bad = fstate(**{"1": fpeer(nsubs={"t1": (1,)})})
-    assert not combined_step(bad, bad)
+    assert combined_step_kind(bad, bad) is None
+
+
+def wfs3_witness(s, u, w):
+    """The WFS3 witness of the step s -> u from w, which must step to it."""
+    kind = combined_step_kind(s, u)
+    assert kind is not None
+    verdict = check_wfs3(s, w, u, (kind,))
+    assert verdict.passed
+    return verdict.witness
 
 
 def test_matching_step_skip():
     s = fstate(**{"1": fpeer()})
     w = refinement_map(s)
-    assert matching_step(s, s, w) == w
+    assert wfs3_witness(s, s, w) == w
     # equality-related w on the flood side: the match is the step itself
-    assert matching_step(s, s, s) == s
+    assert wfs3_witness(s, s, s) == s
 
 
 def test_matching_step_forward_still_pending():
@@ -113,8 +118,9 @@ def test_matching_step_forward_still_pending():
     u = fn.forward(1, M, s)
     assert fn.pending_messages(u) == fn.pending_messages(s)
     w = refinement_map(s)
-    v = matching_step(s, u, w)
-    assert v == refinement_map(u) == w  # matched by a broadcast-side skip
+    verdict = check_wfs3(s, w, u, fn.step_kinds(s, u))
+    assert verdict.witness == refinement_map(u) == w  # matched by a broadcast-side skip
+    assert verdict.match == "skip"
 
 
 def test_matching_step_forward_full_flood():
@@ -122,35 +128,28 @@ def test_matching_step_forward_full_flood():
     u = fn.forward(1, M, s)
     assert fn.pending_messages(u) == ()
     w = refinement_map(s)
-    v = matching_step(s, u, w)
+    verdict = check_wfs3(s, w, u, fn.step_kinds(s, u))
+    v = verdict.witness
     assert v == bn.broadcast_partial(M, (1, 2), w)
     assert bn.is_step(w, v)
     assert bn._STEP_TESTS["broadcast-partial"](w, v)
+    assert verdict.match == "broadcast-partial"
 
 
 def test_matching_step_broadcast_side():
     s = bn.BroadcastState(((1, bn.BroadcastPeer(pubs=("t1",))),))
     u = bn.broadcast(M, s)
-    assert matching_step(s, u, s) == u
+    assert wfs3_witness(s, u, s) == u
 
 
 def test_matching_step_empty_states():
     fe, be = fn.FloodState(), bn.BroadcastState()
-    assert matching_step(fe, fe, be) == be
-    assert matching_step(fe, fe, fe) == fe
-    assert matching_step(be, be, be) == be
+    assert wfs3_witness(fe, fe, be) == be
+    assert wfs3_witness(fe, fe, fe) == fe
+    assert wfs3_witness(be, be, be) == be
     u = fn.join(1, ("t1",), (), (), fe)
-    assert matching_step(fe, u, be) == refinement_map(u)
-    assert matching_step(fe, u, fe) == u
-
-
-def test_matching_step_contract():
-    s = fstate(**{"1": fpeer()})
-    other = fstate(**{"2": fpeer()})
-    with pytest.raises(ContractError, match="not related"):
-        matching_step(s, s, other)
-    with pytest.raises(ContractError, match="does not step"):
-        matching_step(s, other, refinement_map(s))
+    assert wfs3_witness(fe, u, be) == refinement_map(u)
+    assert wfs3_witness(fe, u, fe) == u
 
 
 def test_wfs1():
@@ -186,15 +185,15 @@ def test_wfs3_not_applicable():
 
 
 def test_wfs3_detects_corrupt_witness():
-    # a wrong match must fail the constructive validation
+    # a witness that loses one receiver is not related to u, so WFS3, whose
+    # one witness is label(u), never admits it
     s = fstate(**{"1": fpeer(nsubs={"t1": (2,)}, pending=[M]), "2": fpeer(seen=[M])})
     u = fn.forward(1, M, s)
     w = refinement_map(s)
-    v = matching_step(s, u, w)
-    corrupt = v.with_peer(2, w.get(2))  # drop one receiver
-    assert not (combined_step(w, corrupt) and related(u, corrupt))
-    assert not check_match(s, u, w, corrupt).passed
-    assert check_match(s, u, w, v).match == "broadcast-partial"
+    verdict = check_wfs3(s, w, u, fn.step_kinds(s, u))
+    corrupt = verdict.witness.with_peer(2, w.get(2))  # drop one receiver
+    assert not related(u, corrupt)
+    assert verdict.passed and verdict.match == "broadcast-partial"
 
 
 def test_forward_preserving_pending_preserves_map():
