@@ -262,11 +262,12 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
         if not fn.is_good_state(s):
             continue
         w = refinement_map(s)
+        per_state = (check_wfs1(s), check_wfs2(s, w))  # both depend on s alone
         for kind, u in succs:
             if not fn.is_good_state(u):
                 report.note("good-state-preservation", s, u, kind=kind)
                 continue
-            for verdict in (check_wfs1(s), check_wfs2(s, w), check_wfs3(s, w, u, fn.step_kinds(s, u))):
+            for verdict in (*per_state, check_wfs3(s, w, u, fn.step_kinds(s, u))):
                 report.obligations_checked += 1
                 if verdict.applicable and not verdict.passed:
                     report.note(verdict.obligation, s, u, kind=kind, diagnostics=verdict.diagnostics)

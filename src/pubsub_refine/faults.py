@@ -53,7 +53,7 @@ def _leave_with_pending():
             (2, fn.FloodPeer(subs=("t0",))),
         )
     )
-    return s, fn.leave(1, s), "leave"
+    return s, s.without_peer(1), "leave"
 
 
 def _lone_skip(**fields):

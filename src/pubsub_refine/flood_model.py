@@ -261,9 +261,12 @@ def _join(p, pubs, subs, nbrs, s: FloodState) -> FloodState:
 
 
 def leave(p: PeerId, s: FloodState) -> FloodState:
-    """Remove p's entry; stale references to p in other nsubs maps remain."""
-    if p not in s:
+    """Remove p, whose pending set must be empty; other nsubs maps keep stale references to p."""
+    pst = s.get(p)
+    if pst is None:
         raise ContractError(f"leave: peer {p} not in state")
+    if pst.pending:
+        raise ContractError(f"leave: peer {p} still has pending messages")
     return s.without_peer(p)
 
 
@@ -346,7 +349,7 @@ def is_join_step(s: FloodState, u: FloodState) -> bool:
 
 def is_leave_step(s: FloodState, u: FloodState) -> bool:
     w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    # graceful exit only: no pending message may be lost
+    # leave refuses a peer with pending messages, so the relation rejects that pair
     return w is not None and not w[1].pending and u == leave(w[0], s)
 
 

@@ -148,7 +148,7 @@ def gen_enabled_transition(s: fn.FloodState, cfg: GeneratorConfig, rng: random.R
     """Sample one enabled transition from s as a replayable event.
 
     The event is built, not applied: the caller applies it once with
-    trace.apply_event, which also re-checks that it is enabled at s.
+    trace.apply_event, whose transition refuses it if it is not enabled at s.
     """
     weights = cfg.effective_weights()
     kinds = tuple(k for k in fn.STEP_KINDS if weights[k] > 0)
@@ -163,16 +163,11 @@ def gen_enabled_transition(s: fn.FloodState, cfg: GeneratorConfig, rng: random.R
         if pending:
             m = rng.choice(pending)
             return make_event(index, "forward", peer=fn.find_forwarder(s, m), message=m)
-    elif kind == "subscribe":
+    elif kind in ("subscribe", "unsubscribe"):
         if s.entries and cfg.max_topics:
             p = rng.choice(s.keys())
             topics = _sample_subset(rng, cfg.topic_pool())
-            return make_event(index, "subscribe", peer=p, topics=topics)
-    elif kind == "unsubscribe":
-        if s.entries and cfg.max_topics:
-            p = rng.choice(s.keys())
-            topics = _sample_subset(rng, cfg.topic_pool())
-            return make_event(index, "unsubscribe", peer=p, topics=topics)
+            return make_event(index, kind, peer=p, topics=topics)
     elif kind == "join":
         if len(s.entries) < cfg.max_peers:
             free = tuple(q for q in range(2 * cfg.max_peers + 1) if q not in s)

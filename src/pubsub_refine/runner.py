@@ -18,7 +18,7 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
     checked as the step s -> s, so it is unsound, a counterexample like a
     step the transition relation rejects or a failed obligation. Each
     generated event is applied once, here, and apply_event raises
-    TraceError for one that is not enabled.
+    TraceError when the transition's guard refuses it.
     """
     rng = random.Random(cfg.seed)
     report = CheckReport(config=dict(cfg.to_obj(), traces=traces))

@@ -131,14 +131,15 @@ def parse_state(obj, path: str = "state") -> fn.FloodState:
     return fn.FloodState(tuple(entries))
 
 
+# kind -> (required fields, optional fields)
 _EVENT_FIELDS = {
-    "skip": set(),
-    "produce": {"message"},
-    "forward": {"peer", "message"},
-    "subscribe": {"peer", "topics"},
-    "unsubscribe": {"peer", "topics"},
-    "join": {"peer", "pubs", "subs", "nbrs"},
-    "leave": {"peer"},
+    "skip": (set(), set()),
+    "produce": ({"message"}, set()),
+    "forward": ({"message"}, {"peer"}),
+    "subscribe": ({"peer"}, {"topics"}),
+    "unsubscribe": ({"peer"}, {"topics"}),
+    "join": ({"peer"}, {"pubs", "subs", "nbrs"}),
+    "leave": ({"peer"}, set()),
 }
 
 
@@ -146,9 +147,11 @@ def _parse_event(obj, index: int, path: str) -> TraceEvent:
     _require(isinstance(obj, dict), "event must be an object", path)
     kind = obj.get("kind")
     _require(kind in EVENT_KINDS, f"unknown event kind {kind!r}", f"{path}.kind")
-    allowed = _EVENT_FIELDS[kind] | {"kind", "index", "pre_digest", "post_digest"}
-    extra = set(obj) - allowed
+    required, optional = _EVENT_FIELDS[kind]
+    extra = set(obj) - required - optional - {"kind", "index", "pre_digest", "post_digest"}
     _require(not extra, f"fields {sorted(extra)} not allowed for kind {kind!r}", path)
+    missing = required - set(obj)
+    _require(not missing, f"fields {sorted(missing)} required for kind {kind!r}", path)
     peer = None
     if "peer" in obj:
         peer = _parse_peer_id(obj["peer"], f"{path}.peer")

@@ -6,7 +6,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import flood_model as fn
-from .core import Message, PeerId, Topic, canonical_json
+from .core import ContractError, Message, PeerId, Topic, canonical_json
 
 EVENT_KINDS = fn.STEP_KINDS
 
@@ -69,57 +69,41 @@ class TraceEvent:
 
 
 def apply_event(s: fn.FloodState, ev: TraceEvent) -> fn.FloodState:
-    """Apply one event, checking that it is enabled at s."""
+    """Apply one event by calling its transition, whose guard alone decides if it is enabled.
 
-    def fail(reason: str):
+    A forward goes to find_forwarder(s, m); a peer the event names must be that one.
+    """
+
+    def fail(reason):
         raise TraceError(f"step {ev.index} ({ev.kind}): {reason}")
 
-    match ev.kind:
-        case "skip":
-            return s
-        case "produce":
-            if ev.message is None:
-                fail("produce needs a message")
-            if not fn.can_produce(ev.message, s):
-                fail(f"produce precondition fails for {ev.message}")
-            return fn.produce(ev.message, s)
-        case "forward":
-            if ev.message is None:
-                fail("forward needs a message")
-            if ev.message not in fn.pending_messages(s):
-                fail(f"message {ev.message} is not pending anywhere")
-            forwarder = fn.find_forwarder(s, ev.message)
-            if ev.peer is not None and ev.peer != forwarder:
-                fail(f"peer {ev.peer} is not the designated forwarder {forwarder}")
-            return fn.forward(forwarder, ev.message, s)
-        case "subscribe":
-            if ev.peer is None or ev.peer not in s:
-                fail(f"peer {ev.peer} not in state")
-            return fn.subscribe(ev.peer, ev.topics, s)
-        case "unsubscribe":
-            if ev.peer is None or ev.peer not in s:
-                fail(f"peer {ev.peer} not in state")
-            return fn.unsubscribe(ev.peer, ev.topics, s)
-        case "join":
-            if ev.peer is None:
-                fail("join needs a peer")
-            if ev.peer in s:
-                fail(f"peer {ev.peer} already in state")
-            if ev.peer in ev.nbrs:
-                fail(f"peer {ev.peer} listed among its own neighbors")
-            return fn.join(ev.peer, ev.pubs, ev.subs, ev.nbrs, s)
-        case "leave":
-            if ev.peer is None or ev.peer not in s:
-                fail(f"peer {ev.peer} not in state")
-            if s.get(ev.peer).pending:
-                fail(f"peer {ev.peer} still has pending messages")
-            return fn.leave(ev.peer, s)
-        case _:
-            fail(f"unknown event kind {ev.kind!r}")
+    try:
+        match ev.kind:
+            case "skip":
+                return s
+            case "produce":
+                return fn.produce(ev.message, s)
+            case "forward":
+                forwarder = fn.find_forwarder(s, ev.message)
+                if ev.peer not in (None, forwarder):
+                    fail(f"peer {ev.peer} is not the designated forwarder {forwarder}")
+                return fn.forward(forwarder, ev.message, s)
+            case "subscribe":
+                return fn.subscribe(ev.peer, ev.topics, s)
+            case "unsubscribe":
+                return fn.unsubscribe(ev.peer, ev.topics, s)
+            case "join":
+                return fn.join(ev.peer, ev.pubs, ev.subs, ev.nbrs, s)
+            case "leave":
+                return fn.leave(ev.peer, s)
+            case _:
+                fail(f"unknown event kind {ev.kind!r}")
+    except ContractError as e:
+        fail(e)
 
 
 def run_trace(s0: fn.FloodState, events) -> list[fn.FloodState]:
-    """Replay events from s0, checking enabledness and any recorded digests."""
+    """Replay events from s0, verifying any recorded digests; a disabled event is refused."""
     states = [s0]
     for ev in events:
         pre = states[-1]
@@ -136,8 +120,8 @@ def make_event(index: int, kind: str, **args) -> TraceEvent:
     """Build an event from generated arguments, without digests.
 
     The event is neither applied nor checked here: the caller applies it
-    once, through apply_event, which refuses it if it is not enabled
-    (runner.fuzz_run does so for every generated step). Digests belong to
+    once, through apply_event, whose transition refuses it if it is not
+    enabled (runner.fuzz_run does so for every generated step). Digests belong to
     scenario files, where run_trace verifies them.
     """
     return TraceEvent(index=index, kind=kind, **args)

@@ -18,6 +18,7 @@ from pubsub_refine.exhaustive import (
     run_exhaustive,
     universe_pools,
 )
+from pubsub_refine.refinement import check_wfs1
 
 
 def test_trivial_bounds():
@@ -69,6 +70,22 @@ def test_one_peer_with_message():
     assert (report.broadcast_states, report.broadcast_pairs_checked) == (9, 81)
     assert report.obligations_checked == 309
     assert report.to_obj()["discrepancy_counts"] == {}
+
+
+def test_wfs1_and_wfs2_are_decided_once_per_good_state(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return check_wfs1(s)
+
+    monkeypatch.setattr(exhaustive, "check_wfs1", counted)
+    report = run_exhaustive(1, 1, 2)
+    good = [s for s in enumerate_flood_states(1, 1, 2) if fn.is_good_state(s)]
+    assert len(calls) == len(good) == 81
+    # every good successor still counts its three obligations
+    assert report.obligations_checked == 1599
+    assert report.ok
 
 
 def test_successors_stay_in_universe():

@@ -326,8 +326,15 @@ def test_step_constructed_round_trips():
 
 def test_step_rejects_leave_with_pending():
     s = state(**{"1": peer(pending=[M]), "2": peer()})
-    u = leave(1, s)  # the function allows it; the relation must not
+    u = s.without_peer(1)  # leave refuses it, and so must the relation
     assert not is_step(s, u)
+
+
+def test_leave_refuses_peer_with_pending():
+    s = state(**{"1": peer(pending=[M]), "2": peer()})
+    with pytest.raises(ContractError, match="pending"):
+        leave(1, s)
+    assert leave(2, s) == state(**{"1": peer(pending=[M])})
 
 
 def test_step_subscribe_with_mixed_topics_round_trips():

@@ -102,12 +102,14 @@ def test_events_parse_fields():
             events=[
                 {"kind": "produce", "message": MSG},
                 {"kind": "join", "peer": 4, "pubs": ["t1"], "subs": ["t2"], "nbrs": [1, 2]},
+                {"kind": "forward", "message": MSG},  # a forward's peer is optional
             ]
         )
     )
     assert events[0].message == Message("x", "t1", 1)
     assert events[1].nbrs == (1, 2)
     assert events[1].index == 1
+    assert events[2].peer is None and events[2].message == Message("x", "t1", 1)
 
 
 def test_parse_state_rejects_non_object():
@@ -139,6 +141,24 @@ def test_rejects_peer_key_with_more_digits_than_int_converts(tmp_path):
 @pytest.mark.parametrize("index", ["abc", "3", True, -1, 1.5, None])
 def test_rejects_event_index_that_is_not_a_natural_number(index, tmp_path):
     assert_rejected_at(doc(events=[{"kind": "skip", "index": index}]), "events[0].index", tmp_path)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        {"kind": "produce"},
+        {"kind": "forward", "peer": 1},
+        {"kind": "subscribe", "topics": ["t1"]},
+        {"kind": "unsubscribe", "topics": ["t1"]},
+        {"kind": "join", "pubs": ["t1"], "nbrs": [1]},
+        {"kind": "leave"},
+    ],
+    ids=lambda event: event["kind"],
+)
+def test_rejects_an_event_without_its_required_argument(event, tmp_path):
+    with pytest.raises(ScenarioError, match=f"required for kind {event['kind']!r}"):
+        parse_scenario(doc(events=[event]))
+    assert_rejected_at(doc(events=[{"kind": "skip"}, event]), "events[1]", tmp_path)
 
 
 def test_accepts_explicit_event_index():

@@ -1,10 +1,12 @@
+import re
 from dataclasses import replace
 
 import pytest
 
 from pubsub_refine.core import Message
+from pubsub_refine.exhaustive import _subsets, enumerate_flood_states, flood_successors, universe_pools
 from pubsub_refine.flood_model import FloodPeer, FloodState
-from pubsub_refine.trace import TraceError, TraceEvent, apply_event, make_event, run_trace, state_digest
+from pubsub_refine.trace import EVENT_KINDS, TraceError, TraceEvent, apply_event, make_event, run_trace, state_digest
 
 M = Message("x", "t1", 1)
 
@@ -44,9 +46,20 @@ def test_digests_verified():
 
 
 def test_disabled_event_names_step_and_reason():
-    ev = TraceEvent(3, "leave", peer=9)
-    with pytest.raises(TraceError, match=r"step 3 \(leave\).*not in state"):
-        apply_event(S, ev)
+    produced = apply_event(S, TraceEvent(0, "produce", message=M))
+    cases = [
+        (S, TraceEvent(3, "leave", peer=9), "leave: peer 9 not in state"),
+        (S, TraceEvent(3, "produce", message=Message("x", "t9", 1)), "does not publish topic 't9'"),
+        (S, TraceEvent(3, "produce", message=Message("x", "t1", 7)), "origin 7 not in state"),
+        (produced, TraceEvent(3, "produce", message=M), "already pending or seen"),
+        (S, TraceEvent(3, "forward", message=M), "not pending anywhere"),
+        (S, TraceEvent(3, "forward", peer=1, message=M), "not pending anywhere"),
+        (S, TraceEvent(3, "subscribe", peer=9, topics=("t1",)), "subscribe: peer 9 not in state"),
+        (S, TraceEvent(3, "unsubscribe", peer=9, topics=("t1",)), "unsubscribe: peer 9 not in state"),
+    ]
+    for s, ev, reason in cases:
+        with pytest.raises(TraceError, match=rf"^step 3 \({ev.kind}\): .*{re.escape(reason)}"):
+            apply_event(s, ev)
 
 
 def test_forward_requires_designated_forwarder():
@@ -86,3 +99,64 @@ def test_event_serialization_round_trip_fields():
     obj = ev.to_obj()
     assert obj["kind"] == "subscribe" and obj["peer"] == 2 and obj["topics"] == ["t2"]
     assert "message" not in obj
+
+
+def _enabled(s, ev):
+    """The README's rule for when an event is enabled at s, written out independently."""
+    present = dict(s.entries)
+    match ev.kind:
+        case "skip":
+            return True
+        case "produce":
+            m = ev.message
+            held = any(m in pst.pending or m in pst.seen for pst in present.values())
+            return not held and m.origin in present and m.topic in present[m.origin].pubs
+        case "forward":
+            holders = [p for p, pst in s.entries if ev.message in pst.pending]
+            return bool(holders) and ev.peer in (None, holders[0])
+        case "subscribe" | "unsubscribe":
+            return ev.peer in present
+        case "join":
+            return ev.peer not in present and ev.peer not in ev.nbrs
+        case "leave":
+            return ev.peer in present and not present[ev.peer].pending
+
+
+def _events(peer_pool, topic_pool, msg_pool):
+    yield TraceEvent(0, "skip")
+    for m in msg_pool:
+        yield TraceEvent(0, "produce", message=m)
+        yield TraceEvent(0, "forward", message=m)
+        for p in peer_pool:
+            yield TraceEvent(0, "forward", peer=p, message=m)
+    topic_sets = list(_subsets(topic_pool))
+    for p in peer_pool:
+        for topics in topic_sets:
+            yield TraceEvent(0, "subscribe", peer=p, topics=topics)
+            yield TraceEvent(0, "unsubscribe", peer=p, topics=topics)
+        for pubs in topic_sets:
+            for subs in topic_sets:
+                for nbrs in _subsets(peer_pool):  # the joinee itself included
+                    yield TraceEvent(0, "join", peer=p, pubs=pubs, subs=subs, nbrs=nbrs)
+        yield TraceEvent(0, "leave", peer=p)
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 1)])
+def test_replay_accepts_exactly_the_enabled_events(bounds):
+    pools = universe_pools(*bounds)
+    events = list(_events(*pools))
+    accepted, refused = set(), set()
+    for s in enumerate_flood_states(*bounds):
+        successors = set(flood_successors(s, *pools))
+        for ev in events:
+            try:
+                u = apply_event(s, ev)
+            except TraceError:
+                assert not _enabled(s, ev), ev
+                refused.add(ev.kind)
+            else:
+                assert _enabled(s, ev), ev
+                assert (ev.kind, u) in successors, ev
+                accepted.add(ev.kind)
+    # neither outcome is vacuous for any kind
+    assert accepted == set(EVENT_KINDS) and refused == set(EVENT_KINDS) - {"skip"}
