@@ -8,8 +8,10 @@ multi-hop flood collapses to under the refinement map once churn is allowed.
 The step relation is a disjunction of seven cases. Each case recovers the
 transition's hidden arguments from the (pre, post) state pair with a witness
 function and then checks that replaying the transition with those arguments
-reproduces the post state exactly. The subscription and membership cases
-share core.topics_witness and core.join_witness with the flood model.
+reproduces the post state exactly. A case whose transition refuses the
+recovered arguments (its ContractError guard, asked through core.enabled)
+does not apply; no case restates a guard. The subscription and membership
+cases share core.topics_witness and core.join_witness with the flood model.
 step_kind names the first accepting case, which is the match a WFS3 verdict
 reports; is_step asks whether there is one.
 """
@@ -25,6 +27,7 @@ from .core import (
     PeerMap,
     Topic,
     difference,
+    enabled,
     first_difference,
     insert_unique,
     is_ascending,
@@ -60,12 +63,6 @@ class BroadcastState(PeerMap[BroadcastPeer]):
 def is_new_message(m: Message, s: BroadcastState) -> bool:
     """True iff m appears in no peer's seen set."""
     return all(m not in pst.seen for _, pst in s.entries)
-
-
-def can_broadcast(m: Message, s: BroadcastState) -> bool:
-    """Broadcast precondition: m is new, its origin is present and publishes its topic."""
-    origin_st = s.get(m.origin)
-    return is_new_message(m, s) and origin_st is not None and m.topic in origin_st.pubs
 
 
 def broadcast(m: Message, s: BroadcastState) -> BroadcastState:
@@ -165,41 +162,32 @@ def is_skip_step(s: BroadcastState, u: BroadcastState) -> bool:
 
 def is_broadcast_step(s: BroadcastState, u: BroadcastState) -> bool:
     m = message_witness(s, u)
-    return m is not None and can_broadcast(m, s) and u == broadcast(m, s)
+    return m is not None and u == enabled(broadcast, m, s)
 
 
 def is_broadcast_partial_step(s: BroadcastState, u: BroadcastState) -> bool:
     m = message_witness(s, u)
-    if m is None or not is_new_message(m, s):
-        return False
-    # partial delivery never changes the key set, so reject early; this also
-    # guarantees the recomputed receiver list lies within s.
-    if s.keys() != u.keys():
-        return False
-    return u == broadcast_partial(m, message_receivers(m, u), s)
+    return m is not None and u == enabled(broadcast_partial, m, message_receivers(m, u), s)
 
 
 def is_subscribe_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = topics_witness(s, u)
-    return w is not None and u == subscribe(w[0], w[1], s)
+    return w is not None and u == enabled(subscribe, w[0], w[1], s)
 
 
 def is_unsubscribe_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = topics_witness(u, s)  # reversed: topics present in s but dropped in u
-    return w is not None and u == unsubscribe(w[0], w[1], s)
+    return w is not None and u == enabled(unsubscribe, w[0], w[1], s)
 
 
 def is_join_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = join_witness(s, u)
-    if w is None:
-        return False
-    p, pst = w
-    return p not in s and u == join(p, pst.pubs, pst.subs, s)
+    return w is not None and u == enabled(join, w[0], w[1].pubs, w[1].subs, s)
 
 
 def is_leave_step(s: BroadcastState, u: BroadcastState) -> bool:
     w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    return w is not None and u == leave(w[0], s)
+    return w is not None and u == enabled(leave, w[0], s)
 
 
 _STEP_TESTS = {

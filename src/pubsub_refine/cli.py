@@ -5,7 +5,7 @@ found (a failed obligation or an unsound step, generated or replayed), 2
 for usage or input errors (an unwritable --report path included, refused
 before any checking, and a run that would check nothing), 3 for an
 internal error of the checker itself, so that 1 always means a
-counterexample. PUBSUB_REFINE_SEED supplies the default seed.
+counterexample.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ from .trace import TraceError
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("PUBSUB_REFINE_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"PUBSUB_REFINE_SEED must be an integer, got {raw!r}") from None
 
 
 def _parse_weights(raw: str) -> dict[str, float]:
@@ -94,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--max-peers", type=int, default=8)
     fuzz.add_argument("--max-topics", type=int, default=4)
     fuzz.add_argument("--max-messages", type=int, default=6)
-    fuzz.add_argument("--seed", type=int, default=None)
+    fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--static", action="store_true",
                       help="disable churn and subscription transitions")
     fuzz.add_argument("--weights", type=str, default="",
@@ -142,7 +134,7 @@ def _fuzz_config(args) -> GeneratorConfig:
         max_topics=args.max_topics,
         max_messages=args.max_messages,
         steps=args.steps,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed,
         weights=_parse_weights(args.weights),
         static=args.static,
     )

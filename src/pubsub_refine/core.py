@@ -30,6 +30,14 @@ class ContractError(ValueError):
     """Raised when a transition function is applied outside its precondition."""
 
 
+def enabled(transition: Callable[..., T], *args) -> T | None:
+    """transition(*args), or None when its ContractError guard refuses the arguments."""
+    try:
+        return transition(*args)
+    except ContractError:
+        return None
+
+
 @dataclass(frozen=True, order=True)
 class Message:
     """A published message.
@@ -205,7 +213,7 @@ def join_witness(s: PeerMap[V], u: PeerMap[V]) -> tuple[PeerId, V] | None:
     """The first entry of u whose key s does not hold at that position, comparing keys only.
 
     The entry's peer may still be a key of s elsewhere (s={1,2}, u={2}
-    yields peer 2), so a join case must test that it is new.
+    yields peer 2), which the join transition's guard refuses.
     """
     es, eu = s.entries, u.entries
     i = first_difference(es, eu, lambda a, b: a[0] == b[0])

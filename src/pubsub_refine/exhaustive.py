@@ -6,8 +6,10 @@ duplicate-free in every insertion order, neighbor maps canonical (no empty
 value sets). Self-tracking neighbor entries are included on purpose; they
 are exactly the non-good states the relations must still handle.
 
-For each state it then builds the brute-force successor set from every
-legal (transition, argument) combination and cross-checks four things:
+For each state it then builds the brute-force successor set: it offers
+every argument combination in the pools (the state's own peers for
+subscription changes, neighbours and receivers) to its transition and
+keeps what the transition's guard accepts. It cross-checks four things:
 
   * every successor lies inside the universe,
   * the step relation agrees with successor-set membership on all state
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import Message
+from .core import Message, enabled
 from .refinement import check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -127,52 +129,52 @@ def enumerate_broadcast_states(peers: int, topics: int, messages: int):
             yield bn.BroadcastState(tuple(zip(present, combo)))
 
 
+def _offer(out: list, kind: str, transition, *args):
+    """Append (kind, transition(*args)) to out if the transition's guard accepts the arguments."""
+    u = enabled(transition, *args)
+    if u is not None:
+        out.append((kind, u))
+
+
 def flood_successors(s: fn.FloodState, peer_pool, topic_pool, msg_pool):
-    """All (kind, successor) pairs reachable by one legal transition."""
+    """All (kind, successor) pairs reachable by one enabled transition."""
     out = [("skip", s)]
     for m in msg_pool:
-        if fn.can_produce(m, s):
-            out.append(("produce", fn.produce(m, s)))
+        _offer(out, "produce", fn.produce, m, s)
     for m in fn.pending_messages(s):
-        out.append(("forward", fn.forward(fn.find_forwarder(s, m), m, s)))
+        _offer(out, "forward", fn.forward, fn.find_forwarder(s, m), m, s)
     keys = s.keys()
     for p in keys:
         for topics in _subsets(topic_pool):
-            out.append(("subscribe", fn.subscribe(p, topics, s)))
-            out.append(("unsubscribe", fn.unsubscribe(p, topics, s)))
-    for p in peer_pool:
-        if p in s:
-            continue
+            _offer(out, "subscribe", fn.subscribe, p, topics, s)
+            _offer(out, "unsubscribe", fn.unsubscribe, p, topics, s)
+    for p in peer_pool:  # _subsets yields ordered sets, which join's cached core takes as they are
         for pubs in _subsets(topic_pool):
             for subs in _subsets(topic_pool):
                 for nbrs in _subsets(keys):
-                    out.append(("join", fn.join(p, pubs, subs, nbrs, s)))
-    for p, pst in s.entries:
-        if not pst.pending:
-            out.append(("leave", fn.leave(p, s)))
+                    _offer(out, "join", fn._join, p, pubs, subs, nbrs, s)
+    for p in keys:
+        _offer(out, "leave", fn.leave, p, s)
     return out
 
 
 def broadcast_successors(s: bn.BroadcastState, peer_pool, topic_pool, msg_pool):
+    """All (kind, successor) pairs reachable by one enabled transition."""
     out = [("skip", s)]
     for m in msg_pool:
-        if bn.can_broadcast(m, s):
-            out.append(("broadcast", bn.broadcast(m, s)))
-        if bn.is_new_message(m, s):
-            for receivers in _subsets(s.keys()):
-                out.append(("broadcast-partial", bn.broadcast_partial(m, receivers, s)))
+        _offer(out, "broadcast", bn.broadcast, m, s)
+        for receivers in _subsets(s.keys()):
+            _offer(out, "broadcast-partial", bn.broadcast_partial, m, receivers, s)
     for p in s.keys():
         for topics in _subsets(topic_pool):
-            out.append(("subscribe", bn.subscribe(p, topics, s)))
-            out.append(("unsubscribe", bn.unsubscribe(p, topics, s)))
+            _offer(out, "subscribe", bn.subscribe, p, topics, s)
+            _offer(out, "unsubscribe", bn.unsubscribe, p, topics, s)
     for p in peer_pool:
-        if p in s:
-            continue
         for pubs in _subsets(topic_pool):
             for subs in _subsets(topic_pool):
-                out.append(("join", bn.join(p, pubs, subs, s)))
+                _offer(out, "join", bn.join, p, pubs, subs, s)
     for p in s.keys():
-        out.append(("leave", bn.leave(p, s)))
+        _offer(out, "leave", bn.leave, p, s)
     return out
 
 

@@ -14,15 +14,18 @@ that are no longer in the state.
 
 Every step case but skip walks the two states in lock step with
 first_difference, reads the transition's arguments off the first
-difference, replays that one transition and demands exact equality. The
-produced message heads the pending set of the first changed entry; the
-forwarded message is the first one that some pending set lost, since
-neighbors only gain messages. The topics and join walks,
-core.topics_witness and core.join_witness, are the ones the specification
-side uses too: subscribe/unsubscribe and join also touch *other* peers'
-nsubs maps, so the topics walk skips entries whenever key and subs agree,
-and the join walk compares keys only. Replay equality still decides every
-case, so no witness can produce a false positive.
+difference, replays that one transition and demands exact equality. A
+case whose transition refuses the recovered arguments does not apply: the
+transition's ContractError guard, asked through core.enabled, is the one
+statement of when it is enabled, and no case restates it. The produced
+message heads the pending set of the first changed entry; the forwarded
+message is the first one that some pending set lost, since neighbors only
+gain messages. The topics and join walks, core.topics_witness and
+core.join_witness, are the ones the specification side uses too:
+subscribe/unsubscribe and join also touch *other* peers' nsubs maps, so
+the topics walk skips entries whenever key and subs agree, and the join
+walk compares keys only. Replay equality still decides every case, so no
+witness can produce a false positive.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .core import (
     PeerMap,
     Topic,
     difference,
+    enabled,
     first_difference,
     insert_unique,
     is_ascending,
@@ -107,12 +111,6 @@ def pending_messages(s: FloodState) -> tuple[Message, ...]:
 def is_new_message(m: Message, s: FloodState) -> bool:
     """True iff m is in no peer's seen set and no peer's pending set."""
     return all(m not in pst.seen and m not in pst.pending for _, pst in s.entries)
-
-
-def can_produce(m: Message, s: FloodState) -> bool:
-    """Produce precondition: m is new, its origin is present and publishes its topic."""
-    origin_st = s.get(m.origin)
-    return is_new_message(m, s) and origin_st is not None and m.topic in origin_st.pubs
 
 
 def _add_pending(m: Message, pst: FloodPeer) -> FloodPeer:
@@ -310,8 +308,7 @@ def is_produce_step(s: FloodState, u: FloodState) -> bool:
     i = first_difference(es, eu)
     if i == len(es) or i == len(eu) or not eu[i][1].pending:
         return False
-    m = eu[i][1].pending[0]
-    return can_produce(m, s) and u == produce(m, s)
+    return u == enabled(produce, eu[i][1].pending[0], s)
 
 
 def is_forward_step(s: FloodState, u: FloodState) -> bool:
@@ -325,17 +322,17 @@ def is_forward_step(s: FloodState, u: FloodState) -> bool:
     if i == len(es) or i == len(eu) or es[i][0] != eu[i][0]:
         return False
     m = difference(es[i][1].pending, eu[i][1].pending)[0]
-    return u == forward(find_forwarder(s, m), m, s)
+    return u == enabled(forward, find_forwarder(s, m), m, s)
 
 
 def is_subscribe_step(s: FloodState, u: FloodState) -> bool:
     w = topics_witness(s, u)
-    return w is not None and u == subscribe(w[0], w[1], s)
+    return w is not None and u == enabled(subscribe, w[0], w[1], s)
 
 
 def is_unsubscribe_step(s: FloodState, u: FloodState) -> bool:
     w = topics_witness(u, s)  # reversed: topics present in s but dropped in u
-    return w is not None and u == unsubscribe(w[0], w[1], s)
+    return w is not None and u == enabled(unsubscribe, w[0], w[1], s)
 
 
 def is_join_step(s: FloodState, u: FloodState) -> bool:
@@ -343,14 +340,13 @@ def is_join_step(s: FloodState, u: FloodState) -> bool:
     if w is None:
         return False
     p, pst = w
-    nbrs = tracked_peers(pst.nsubs)
-    return p not in s and p not in nbrs and u == join(p, pst.pubs, pst.subs, nbrs, s)
+    # the witness's topic sets are ordered sets, which join's cached core takes as they are
+    return u == enabled(_join, p, pst.pubs, pst.subs, tracked_peers(pst.nsubs), s)
 
 
 def is_leave_step(s: FloodState, u: FloodState) -> bool:
     w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    # leave refuses a peer with pending messages, so the relation rejects that pair
-    return w is not None and not w[1].pending and u == leave(w[0], s)
+    return w is not None and u == enabled(leave, w[0], s)
 
 
 _STEP_TESTS = {

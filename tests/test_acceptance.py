@@ -55,10 +55,10 @@ def test_acceptance_2_exhaustive_oracle():
     report = run_exhaustive(2, 1, 1, cap=5000)
     ok = (
         report.ok
-        and report.flood_pairs_checked == report.flood_states**2
-        and report.broadcast_pairs_checked == report.broadcast_states**2
-        and report.successors_checked > 0
-        and report.obligations_checked > 0
+        and (report.flood_states, report.flood_pairs_checked) == (4225, 17_850_625)
+        and (report.broadcast_states, report.broadcast_pairs_checked) == (81, 6561)
+        and report.successors_checked == 45_969
+        and report.obligations_checked == 35_847
     )
     _verdict(
         2,

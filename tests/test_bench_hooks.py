@@ -69,9 +69,14 @@ def test_benchmark_faults_are_the_built_in_faults(bench_run):
 
 
 def test_benchmark_enumerate_counts_match_the_oracle(bench_run):
-    want = bench_run.ENUMERATE_COUNTS[(1, 1, 1)]
-    got = run_exhaustive(1, 1, 1).to_obj()
-    assert {key: got[key] for key in want} == want
+    # the two benchmark bounds cheap enough for every test run; the benchmark
+    # does not gate successors_checked, so its exact values are pinned here
+    for bounds, successors in [((1, 1, 1), 201), ((1, 1, 3), 7541)]:
+        want = bench_run.ENUMERATE_COUNTS[bounds]
+        got = run_exhaustive(*bounds, cap=5000).to_obj()
+        assert {key: got[key] for key in want} == want, bounds
+        assert got["successors_checked"] == successors, bounds
+        assert got["discrepancy_counts"] == {}, bounds
 
 
 def test_a_passing_report_passes_the_benchmark_judge(bench_run):

@@ -8,7 +8,6 @@ from pubsub_refine.broadcast_model import (
     BroadcastState,
     broadcast,
     broadcast_partial,
-    can_broadcast,
     is_new_message,
     is_step,
     join,
@@ -51,17 +50,20 @@ def test_new_message_scan_oracle():
     assert is_new_message(M, s2)
 
 
-def test_can_broadcast_missing_origin():
-    assert not can_broadcast(M, state(**{"2": peer(subs=["t1"])}))
+def test_broadcast_refuses_missing_origin():
+    with pytest.raises(ContractError, match="not in state"):
+        broadcast(M, state(**{"2": peer(subs=["t1"])}))
 
 
-def test_can_broadcast_conjuncts():
+def test_broadcast_guard_conjuncts():
     s = state(**{"1": peer(pubs=["t1"])})
-    assert can_broadcast(M, s)
+    assert broadcast(M, s).get(1).seen == (M,)
     stale = state(**{"1": peer(pubs=["t1"], seen=[M])})
-    assert not can_broadcast(M, stale)
+    with pytest.raises(ContractError, match="already seen"):
+        broadcast(M, stale)
     wrong_topic = state(**{"1": peer(pubs=["t2"])})
-    assert not can_broadcast(M, wrong_topic)
+    with pytest.raises(ContractError, match="does not publish"):
+        broadcast(M, wrong_topic)
 
 
 def test_broadcast_delivers_to_subscribers_and_origin():
@@ -124,7 +126,6 @@ def test_broadcast_partial_of_all_subscribers_equals_broadcast():
                 "3": peer(subs=subs3),
             }
         )
-        assert can_broadcast(M, s)
         receivers = tuple(
             p for p, pst in s.entries if "t1" in pst.subs or p == M.origin
         )
@@ -306,12 +307,14 @@ def test_transitions_preserve_well_formedness():
 
 def test_step_rejects_two_peer_corruption():
     m2 = Message("y", "t1", 2)
-    s = state(**{"1": peer(), "2": peer()})
-    u = BroadcastState(
-        (
-            (1, peer(seen=[M])),
-            (2, peer(seen=[m2])),
-        )
-    )
-    assert not is_step(s, u)
-    assert step_kind(s, u) is None
+    pairs = [
+        (state(**{"1": peer(), "2": peer()}), state(**{"1": peer(seen=[M]), "2": peer(seen=[m2])})),
+        # partial deliveries that also change the key set: a peer dropped,
+        # a peer added behind the receiver, a peer added in front of s
+        (state(**{"1": peer(), "2": peer()}), state(**{"1": peer(seen=[M])})),
+        (state(**{"1": peer()}), state(**{"1": peer(seen=[M]), "2": peer(seen=[M])})),
+        (state(**{"2": peer()}), state(**{"1": peer(seen=[M]), "2": peer()})),
+    ]
+    for s, u in pairs:
+        assert not is_step(s, u), (s, u)
+        assert step_kind(s, u) is None

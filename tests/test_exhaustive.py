@@ -8,6 +8,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
+from pubsub_refine.core import ContractError
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
     broadcast_successors,
@@ -272,3 +273,48 @@ def test_sampled_agreement_at_three_peer_bounds():
 def test_broadcast_universe_sizes():
     assert len(list(enumerate_broadcast_states(1, 1, 1))) == 1 + 8
     assert len(list(enumerate_broadcast_states(2, 1, 1))) == 1 + 8 + 8 + 64
+
+
+# The guard alone decides: each step case and each successor function asks
+# the transition, so a transition's ContractError is the one statement of
+# when it is enabled.
+
+_M0 = universe_pools(1, 1, 1)[2][0]  # message m0 on topic t0 from peer 0
+
+
+def _refuse(*args):
+    raise ContractError("refused")
+
+
+@pytest.mark.parametrize("model, attr, kind, s, step, bounds", [
+    (fn, "produce", "produce", fn.FloodState(((0, fn.FloodPeer(pubs=("t0",))),)),
+     lambda s: fn.produce(_M0, s), (1, 1, 1)),
+    (fn, "_join", "join", fn.FloodState(((0, fn.FloodPeer(subs=("t0",))),)),
+     lambda s: fn.join(1, (), ("t0",), (0,), s), (2, 1, 0)),
+    (fn, "leave", "leave", fn.FloodState(((0, fn.FloodPeer()),)),
+     lambda s: fn.leave(0, s), (1, 1, 0)),
+    (bn, "broadcast", "broadcast", bn.BroadcastState(((0, bn.BroadcastPeer(pubs=("t0",))),)),
+     lambda s: bn.broadcast(_M0, s), (1, 1, 1)),
+    (bn, "broadcast_partial", "broadcast-partial", bn.BroadcastState(((0, bn.BroadcastPeer()),)),
+     lambda s: bn.broadcast_partial(_M0, (0,), s), (1, 1, 1)),
+    (bn, "join", "join", bn.BroadcastState(),
+     lambda s: bn.join(0, ("t0",), (), s), (1, 1, 0)),
+], ids=["flood-produce", "flood-join", "flood-leave", "broadcast", "broadcast-partial", "broadcast-join"])
+def test_a_refusing_transition_disables_its_case_and_its_successors(monkeypatch, model, attr, kind, s, step, bounds):
+    successors = flood_successors if model is fn else broadcast_successors
+    pools = universe_pools(*bounds)
+    u = step(s)
+    assert model._STEP_TESTS[kind](s, u)
+    assert (kind, u) in successors(s, *pools)
+    monkeypatch.setattr(model, attr, _refuse)
+    assert not model._STEP_TESTS[kind](s, u)
+    assert kind not in {k for k, _ in successors(s, *pools)}
+
+
+def test_a_leave_that_allows_pending_is_a_step_and_a_successor(monkeypatch):
+    s = fn.FloodState(((0, fn.FloodPeer(pending=(_M0,))),))
+    u = fn.FloodState()
+    assert not fn.is_step(s, u)
+    monkeypatch.setattr(fn, "leave", lambda p, s: s.without_peer(p))
+    assert fn.is_leave_step(s, u) and fn.is_step(s, u)
+    assert ("leave", u) in flood_successors(s, *universe_pools(1, 1, 1))
