@@ -58,37 +58,34 @@ class StepRecord:
 
 @dataclass
 class CheckReport:
-    """The checked steps of a run and the dump of its first offending step.
+    """The checked steps of a run, their totals and the dump of its first offending step.
 
     The report format keeps an "errors" list and its total; both are always
     empty, because an unsound step is a counterexample like a failed one.
+    The totals are counted as each step is added, so reading them walks
+    nothing.
     """
 
     config: dict = field(default_factory=dict)
-    steps: list[StepRecord] = field(default_factory=list)
+    steps: list[StepRecord] = field(default_factory=list, init=False)
     counterexample: dict | None = None
     elapsed_seconds: float = 0.0
-
-    @property
-    def totals(self) -> dict:
-        checks = sum(len(r.verdicts) for r in self.steps)
-        failed = sum(len(r.failures) for r in self.steps)
-        unsound = sum(1 for r in self.steps if not r.sound)
-        skipped = sum(1 for r in self.steps for v in r.verdicts if not v.applicable)
-        return {
-            "steps": len(self.steps),
-            "checks": checks,
-            "passed": checks - failed - skipped,
-            "failed": failed,
-            "unsound_steps": unsound,
-            "not_applicable": skipped,
-            "errors": 0,
-        }
+    totals: dict = field(init=False, default_factory=lambda: dict.fromkeys(
+        ("steps", "checks", "passed", "failed", "unsound_steps", "not_applicable", "errors"), 0))
 
     def add(self, rec: StepRecord, s: fn.FloodState, u: fn.FloodState):
-        """Append a checked step; dump the first unsound or failed one as the counterexample."""
+        """Append a checked step and count it; dump the first unsound or failed one as the counterexample."""
         self.steps.append(rec)
-        if self.counterexample is not None or (rec.sound and not rec.failures):
+        failed = len(rec.failures)
+        skipped = sum(not v.applicable for v in rec.verdicts)
+        t = self.totals
+        t["steps"] += 1
+        t["checks"] += len(rec.verdicts)
+        t["passed"] += len(rec.verdicts) - failed - skipped
+        t["failed"] += failed
+        t["unsound_steps"] += not rec.sound
+        t["not_applicable"] += skipped
+        if self.counterexample is not None or (rec.sound and not failed):
             return
         reasons = list(rec.soundness_issues)
         reasons += [f"{v.obligation}: {v.diagnostics}" for v in rec.failures]
@@ -106,7 +103,7 @@ class CheckReport:
     def to_obj(self) -> dict:
         return {
             "config": self.config,
-            "totals": self.totals,
+            "totals": dict(self.totals),
             "steps": [r.to_obj() for r in self.steps],
             "errors": [],
             "counterexample": self.counterexample,

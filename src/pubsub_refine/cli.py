@@ -11,6 +11,7 @@ counterexample.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -113,12 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Nothing the checker builds is cyclic, so reference counting frees all
+    # of it; the cycle collector would only rescan the states the caches and
+    # the report keep alive. Its state is restored for in-process callers.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _run(args)
     except Exception as e:  # the CLI boundary: exit 1 must only ever mean a counterexample
         message = " ".join(str(e).splitlines())
         print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
         return INTERNAL_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _usage_error(e) -> int:

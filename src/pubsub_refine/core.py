@@ -16,7 +16,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, NamedTuple, Sequence, TypeVar
 
 PeerId = int
 Topic = str
@@ -24,6 +24,13 @@ Topic = str
 T = TypeVar("T")
 K = TypeVar("K")
 V = TypeVar("V")
+
+# Entries kept by each lru_cache of the models. A cache serves the replay of
+# the transition just applied (fuzz and run apply an event, then classify
+# the step by replaying it) and one row of the all-pairs oracle; WFS reasons
+# about one state and its successors, so nothing older is read again, and
+# every kept state is heap the interpreter must later free.
+CACHE_SIZE = 256
 
 
 class ContractError(ValueError):
@@ -38,14 +45,19 @@ def enabled(transition: Callable[..., T], *args) -> T | None:
         return None
 
 
-@dataclass(frozen=True, order=True)
-class Message:
+class Message(NamedTuple):
     """A published message.
 
     Messages are compared lexicographically on (payload, topic, origin);
     two messages with equal fields are the same message. Python's string
     comparison is code-point order, which coincides with byte order on the
     UTF-8 encodings, so the ordering is stable across platforms.
+
+    A NamedTuple: comparison and hashing are the tuple's, in C, and
+    construction makes one tuple instead of setting each field of a frozen
+    dataclass. A message also equals the plain tuple of its fields, which
+    no model state holds. Its repr, Message(payload='x', topic='t1',
+    origin=1), is quoted by guard and replay errors.
     """
 
     payload: str

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    CACHE_SIZE,
     ContractError,
     Message,
     PeerId,
@@ -102,7 +103,7 @@ def tracked_peers(nsubs: TopicPeers) -> tuple[PeerId, ...]:
     return ordered_set(q for _, peers in nsubs for q in peers)
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=CACHE_SIZE)
 def pending_messages(s: FloodState) -> tuple[Message, ...]:
     """Ordered union of all peers' pending sets."""
     return ordered_set(m for _, pst in s.entries for m in pst.pending)
@@ -119,7 +120,7 @@ def _add_pending(m: Message, pst: FloodPeer) -> FloodPeer:
     return FloodPeer(pst.pubs, pst.subs, pst.nsubs, (m,) + pst.pending, pst.seen)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=CACHE_SIZE)
 def produce(m: Message, s: FloodState) -> FloodState:
     """Place a new message in its origin's pending set."""
     if not is_new_message(m, s):
@@ -132,7 +133,7 @@ def produce(m: Message, s: FloodState) -> FloodState:
     return s.with_peer(m.origin, _add_pending(m, origin_st))
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=CACHE_SIZE)
 def forward(p: PeerId, m: Message, s: FloodState) -> FloodState:
     """Peer p processes its pending message m and floods it to its neighbors.
 
@@ -184,7 +185,7 @@ def subscribe(p: PeerId, topics, s: FloodState) -> FloodState:
     return _subscribe(p, ordered_set(topics), s)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=CACHE_SIZE)
 def _subscribe(p: PeerId, topics: tuple[Topic, ...], s: FloodState) -> FloodState:
     pst = s.get(p)
     if pst is None:
@@ -207,7 +208,7 @@ def unsubscribe(p: PeerId, topics, s: FloodState) -> FloodState:
     return _unsubscribe(p, ordered_set(topics), s)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=CACHE_SIZE)
 def _unsubscribe(p: PeerId, topics: tuple[Topic, ...], s: FloodState) -> FloodState:
     pst = s.get(p)
     if pst is None:
@@ -237,7 +238,7 @@ def join(p: PeerId, pubs, subs, nbrs, s: FloodState) -> FloodState:
     return _join(p, ordered_set(pubs), ordered_set(subs), ordered_set(nbrs), s)
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=CACHE_SIZE)
 def _join(p, pubs, subs, nbrs, s: FloodState) -> FloodState:
     if p in s:
         raise ContractError(f"join: peer {p} already in state")

@@ -26,18 +26,17 @@ the offending states in its diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import difference
+from .core import CACHE_SIZE, difference
 
 Borf = Union[bn.BroadcastState, fn.FloodState]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHE_SIZE)
 def refinement_map(s: fn.FloodState) -> bn.BroadcastState:
     """View a flood state as a broadcast state (the commitment map)."""
     hidden = fn.pending_messages(s)
@@ -81,8 +80,7 @@ def combined_step_kind(s: Borf, u: Borf) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class WfsVerdict:
+class WfsVerdict(NamedTuple):
     """Outcome of one obligation check.
 
     A verdict whose precondition failed is marked not applicable and never
@@ -90,6 +88,10 @@ class WfsVerdict:
     states involved in diagnostics; WFS3 verdicts carry their witness v, the
     one state of w's tag related to u (label(u) for a broadcast w), and
     passing ones the first case of w's step to v as match.
+
+    Every checked step builds three, so it is a NamedTuple: construction
+    makes one tuple, comparison and hashing are the tuple's, in C, and the
+    repr names each field as the dataclass did.
     """
 
     obligation: str

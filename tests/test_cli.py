@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 from importlib import resources
@@ -251,3 +252,36 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 def test_a_real_counterexample_still_exits_1(capsys):
     assert main(["mutate", "--fault", "drop-receiver"]) == 1
     assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fuzz", "--traces", "2", "--steps", "3"], 0),
+    (["mutate", "--fault", "drop-receiver"], 1),
+    (["fuzz", "--traces", "0"], 2),
+])
+def test_the_run_goes_without_the_cycle_collector(argv, code, monkeypatch, capsys):
+    # nothing the checker builds is cyclic (tests/test_heap.py), so the
+    # collector is off while it runs and back on once main returns
+    real, seen = cli._run, []
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return real(args)
+
+    monkeypatch.setattr(cli, "_run", spy)
+    assert gc.isenabled()
+    assert main(argv) == code
+    assert seen == [False] and gc.isenabled()
+
+
+def test_the_collector_is_back_on_after_an_internal_error(monkeypatch, capsys):
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run", crash)
+    assert gc.isenabled()
+    assert main(["fuzz", "--traces", "1", "--steps", "1"]) == 3
+    assert seen == [False] and gc.isenabled()

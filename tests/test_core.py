@@ -61,6 +61,14 @@ def test_compare_strict_weak_order_exhaustive():
             assert a < c or a == c
 
 
+def test_message_repr_hash_and_order_are_those_of_its_fields():
+    # guard and replay errors quote the repr
+    assert repr(M1) == "Message(payload='a', topic='t1', origin=5)"
+    assert hash(M1) == hash(("a", "t1", 5))
+    assert sorted([M3, M2, M1]) == [M1, M2, M3]
+    assert Message.from_obj(M1.to_obj()) == M1 and M1.to_obj() == {"pld": "a", "tp": "t1", "or": 5}
+
+
 def test_insert_unique_empty():
     assert insert_unique(M1, ()) == (M1,)
 

@@ -1,0 +1,66 @@
+"""What the checker leaves on the heap.
+
+cli.main runs the checker with the cycle collector off. That is sound only
+while nothing the checker builds is cyclic, so that reference counting
+frees all of it: each path below runs with the collector off and must leave
+no cyclic garbage behind. The models' lru_caches are bounded by
+core.CACHE_SIZE, and the bound must keep the hit each cache exists for, the
+replay of the transition just applied.
+"""
+
+import gc
+from collections import Counter
+from importlib import resources
+
+import pytest
+
+from pubsub_refine import flood_model as fn
+from pubsub_refine.core import CACHE_SIZE
+from pubsub_refine.exhaustive import run_exhaustive
+from pubsub_refine.faults import FAULTS, run_fault
+from pubsub_refine.generate import GeneratorConfig
+from pubsub_refine.refinement import refinement_map
+from pubsub_refine.runner import fuzz_run, scenario_run
+
+CACHES = (fn.pending_messages, fn.produce, fn.forward, fn._subscribe, fn._unsubscribe, fn._join,
+          refinement_map)
+FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
+
+
+def _fuzz(traces, **cfg):
+    return fuzz_run(GeneratorConfig(max_peers=8, max_topics=4, max_messages=6, steps=20, **cfg), traces=traces)
+
+
+PATHS = {
+    "fuzz": lambda: _fuzz(50, seed=101),
+    "fuzz-static": lambda: _fuzz(50, seed=7, static=True),
+    "figure1": lambda: scenario_run(FIGURE1),
+    "enumerate-112": lambda: run_exhaustive(1, 1, 2),
+    **{f"mutate-{fault}": (lambda fault=fault: run_fault(fault)) for fault in FAULTS},
+}
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_nothing_the_checker_builds_is_cyclic(path):
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        PATHS[path]()  # the report is dropped at once
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_every_cache_is_bounded_and_keeps_the_replay_hit():
+    for cache in CACHES:
+        cache.cache_clear()
+    kinds = Counter(rec.kind for rec in _fuzz(50, seed=101).steps)
+    assert kinds["produce"] and kinds["forward"]
+    # the event applies the transition once and the step check replays it
+    assert fn.produce.cache_info().hits >= kinds["produce"]
+    assert fn.forward.cache_info().hits >= kinds["forward"]
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE

@@ -8,6 +8,7 @@ from pubsub_refine.refinement import (
     combined_step_kind,
     label,
     refinement_map,
+    WfsVerdict,
     related,
     wf_related,
 )
@@ -227,3 +228,11 @@ def test_verdict_serialization():
     assert check_wfs1(s).to_obj() == {"obligation": "WFS1", "status": "pass"}
     obj = check_wfs2(s, fstate(**{"2": fpeer()})).to_obj()
     assert obj["status"] == "not-applicable"
+
+
+def test_verdict_repr_and_equality_name_every_field():
+    v = WfsVerdict("WFS1", True)
+    assert repr(v) == ("WfsVerdict(obligation='WFS1', passed=True, applicable=True, "
+                       "witness=None, diagnostics='', match=None)")
+    assert v == WfsVerdict("WFS1", True, applicable=True) and hash(v) == hash(WfsVerdict("WFS1", True))
+    assert v != WfsVerdict("WFS1", True, match="skip")
