@@ -4,6 +4,8 @@ A state maps peers to (pubs, subs, seen). A broadcast delivers a new message
 to every subscriber (and the origin) in a single transition; a partial
 broadcast delivers it to an arbitrary subset of peers, which is what a
 multi-hop flood collapses to under the refinement map once churn is allowed.
+Both deliver through _deliver: a broadcast delivers like the partial
+broadcast to the subscribers and the origin.
 
 The step relation is a disjunction of seven cases. Each case recovers the
 transition's hidden arguments from the (pre, post) state pair with a witness
@@ -74,15 +76,16 @@ def broadcast(m: Message, s: BroadcastState) -> BroadcastState:
         raise ContractError(f"broadcast: origin {m.origin} not in state")
     if m.topic not in origin_st.pubs:
         raise ContractError(f"broadcast: origin {m.origin} does not publish topic {m.topic!r}")
-    entries = tuple(
-        (p, _receive(pst, m) if m.topic in pst.subs or p == m.origin else pst)
+    receivers = tuple(p for p, pst in s.entries if m.topic in pst.subs or p == m.origin)
+    return _deliver(m, receivers, s)
+
+
+def _deliver(m: Message, receivers: tuple[PeerId, ...], s: BroadcastState) -> BroadcastState:
+    """Add m to the seen set of each of receivers; every other entry stays as it is."""
+    return BroadcastState(tuple(
+        (p, BroadcastPeer(pst.pubs, pst.subs, insert_unique(m, pst.seen)) if p in receivers else pst)
         for p, pst in s.entries
-    )
-    return BroadcastState(entries)
-
-
-def _receive(pst: BroadcastPeer, m: Message) -> BroadcastPeer:
-    return BroadcastPeer(pst.pubs, pst.subs, insert_unique(m, pst.seen))
+    ))
 
 
 def broadcast_partial(m: Message, receivers: tuple[PeerId, ...], s: BroadcastState) -> BroadcastState:
@@ -98,9 +101,7 @@ def broadcast_partial(m: Message, receivers: tuple[PeerId, ...], s: BroadcastSta
     missing = [p for p in receivers if p not in keys]
     if missing:
         raise ContractError(f"broadcast-partial: receivers {missing} not in state")
-    return BroadcastState(
-        tuple((p, _receive(pst, m) if p in receivers else pst) for p, pst in s.entries)
-    )
+    return _deliver(m, receivers, s)
 
 
 def message_receivers(m: Message, s: BroadcastState) -> tuple[PeerId, ...]:

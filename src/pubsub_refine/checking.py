@@ -140,7 +140,8 @@ def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> Ste
     )
 
 
-def emit_report(report: CheckReport) -> str:
+def emit_report(report) -> str:
+    """A report's to_obj as indented JSON with one final newline; every command writes its report so."""
     return indented_json(report.to_obj()) + "\n"
 
 

@@ -17,7 +17,6 @@ import sys
 import time
 
 from .checking import emit_report
-from .core import indented_json
 from .exhaustive import run_exhaustive
 from .faults import FAULTS, run_fault
 from .generate import GeneratorConfig, default_weights
@@ -161,11 +160,7 @@ def _run(args) -> int:
             report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
         except ValueError as e:
             return _usage_error(e)
-        report.elapsed_seconds = time.monotonic() - start
-        print(indented_json(report.to_obj()))
-        return 0 if report.ok else 1
-
-    if args.command == "fuzz":
+    elif args.command == "fuzz":
         try:
             cfg = _fuzz_config(args)
         except ValueError as e:
@@ -179,8 +174,9 @@ def _run(args) -> int:
     else:
         report = run_fault(args.fault)
     report.elapsed_seconds = time.monotonic() - start
-    _write_report(report, args.report)
-    print(_summarize(report), file=sys.stderr)
+    _write_report(report, path)
+    if args.command != "enumerate":
+        print(_summarize(report), file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -17,10 +17,11 @@ keeps what the transition's guard accepts. It cross-checks four things:
   * every good state's enabled transition lands in a good state,
   * every step from a good state passes the three simulation obligations.
 
-Each universe is interned once: a state's position in the enumeration is
-its id, and a successor set is a set of ids. The all-pairs check still asks
-the step relation about every pair, but decides membership by an int
-lookup instead of hashing and comparing states.
+Each universe is built from one tuple of per-peer states, shared by every
+present peer of every subset of the peer pool, and interned once: a state's
+position in the enumeration is its id, and a successor set is a set of ids.
+The all-pairs check still asks the step relation about every pair, but
+decides membership by an int lookup instead of hashing and comparing states.
 
 Every discrepancy is counted per check; the first KEPT_DISCREPANCIES are
 reported with the offending states. The state space grows brutally fast,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import broadcast_model as bn
 from . import flood_model as fn
@@ -88,30 +89,33 @@ def estimate_flood_states(peers: int, topics: int, messages: int, cap: float = m
     return product(itertools.repeat(1 + per_peer, peers))
 
 
-def _peer_states(p, peer_pool, topic_pool, msg_pool):
-    # neighbor targets range over the whole pool, including p itself: the
-    # self-tracking states are precisely the non-good ones the relations
-    # must still decide
-    topic_sets = tuple(_subsets(topic_pool))
-    nsubs_choices = []
-    per_topic = tuple(_subsets(peer_pool))
-    for combo in itertools.product(per_topic, repeat=len(topic_pool)):
-        nsubs_choices.append(tuple((tp, ps) for tp, ps in zip(topic_pool, combo) if ps))
-    seen_sets = tuple(_subsets(msg_pool))
-    for pubs in topic_sets:
-        for subs in topic_sets:
-            for nsubs in nsubs_choices:
-                for pending in _pending_sequences(msg_pool):
-                    for seen in seen_sets:
-                        yield fn.FloodPeer(pubs, subs, nsubs, pending, seen)
+def _states(state_type, peer_pool, per_peer):
+    """Every state whose keys are a subset of peer_pool and whose peers come from per_peer."""
+    for present in _subsets(peer_pool):
+        for combo in itertools.product(per_peer, repeat=len(present)):
+            yield state_type(tuple(zip(present, combo)))
 
 
 def enumerate_flood_states(peers: int, topics: int, messages: int):
     peer_pool, topic_pool, msg_pool = universe_pools(peers, topics, messages)
-    for present in _subsets(peer_pool):
-        choices = [tuple(_peer_states(p, peer_pool, topic_pool, msg_pool)) for p in present]
-        for combo in itertools.product(*choices):
-            yield fn.FloodState(tuple(zip(present, combo)))
+    topic_sets = tuple(_subsets(topic_pool))
+    # neighbor targets range over the whole pool, including the peer itself:
+    # the self-tracking states are precisely the non-good ones the relations
+    # must still decide
+    nsubs_choices = tuple(
+        tuple((tp, ps) for tp, ps in zip(topic_pool, combo) if ps)
+        for combo in itertools.product(tuple(_subsets(peer_pool)), repeat=len(topic_pool))
+    )
+    seen_sets = tuple(_subsets(msg_pool))
+    per_peer = tuple(
+        fn.FloodPeer(pubs, subs, nsubs, pending, seen)
+        for pubs in topic_sets
+        for subs in topic_sets
+        for nsubs in nsubs_choices
+        for pending in _pending_sequences(msg_pool)
+        for seen in seen_sets
+    )
+    yield from _states(fn.FloodState, peer_pool, per_peer)
 
 
 def enumerate_broadcast_states(peers: int, topics: int, messages: int):
@@ -124,9 +128,7 @@ def enumerate_broadcast_states(peers: int, topics: int, messages: int):
         for subs in topic_sets
         for seen in seen_sets
     )
-    for present in _subsets(peer_pool):
-        for combo in itertools.product(per_peer, repeat=len(present)):
-            yield bn.BroadcastState(tuple(zip(present, combo)))
+    yield from _states(bn.BroadcastState, peer_pool, per_peer)
 
 
 def _offer(out: list, kind: str, transition, *args):
@@ -205,18 +207,7 @@ class ExhaustiveReport:
         return not self.discrepancies
 
     def to_obj(self) -> dict:
-        return {
-            "bounds": self.bounds,
-            "flood_states": self.flood_states,
-            "broadcast_states": self.broadcast_states,
-            "flood_pairs_checked": self.flood_pairs_checked,
-            "broadcast_pairs_checked": self.broadcast_pairs_checked,
-            "successors_checked": self.successors_checked,
-            "obligations_checked": self.obligations_checked,
-            "discrepancies": self.discrepancies,
-            "discrepancy_counts": dict(self.discrepancy_counts),
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
 
 def _successor_ids(report: ExhaustiveReport, index: dict, s, succs) -> set[int]:

@@ -10,7 +10,9 @@ pending is duplicate-free but insertion-ordered (new messages are pushed
 at the front); seen is an ordered set. A peer may leave only with an empty
 pending set, so no in-flight message is lost. Leaving does not scrub the
 peer out of other peers' nsubs maps: forwarding simply skips neighbors
-that are no longer in the state.
+that are no longer in the state. subscribe, unsubscribe and join tell the
+neighbours through one walk, _record: each of a set of peers inserts the
+changed peer into, or removes it from, its nsubs map under some topics.
 
 Every step case but skip walks the two states in lock step with
 first_difference, reads the transition's arguments off the first
@@ -176,6 +178,17 @@ def _trackers(s: FloodState, p: PeerId) -> tuple[PeerId, ...]:
     )
 
 
+def _record(s: FloodState, peers, p: PeerId, topics, update) -> FloodState:
+    """Each of peers applies update (nsubs_insert or nsubs_remove) to its nsubs map for p under topics."""
+    for q in peers:
+        qst = s.get(q)
+        nsubs = qst.nsubs
+        for tp in topics:
+            nsubs = update(nsubs, tp, p)
+        s = s.with_peer(q, FloodPeer(qst.pubs, qst.subs, nsubs, qst.pending, qst.seen))
+    return s
+
+
 def subscribe(p: PeerId, topics, s: FloodState) -> FloodState:
     """Add topics to p's subscriptions and tell the peers tracking p.
 
@@ -194,13 +207,7 @@ def _subscribe(p: PeerId, topics: tuple[Topic, ...], s: FloodState) -> FloodStat
     if not added:
         return s
     out = s.with_peer(p, FloodPeer(pst.pubs, union_sets(pst.subs, added), pst.nsubs, pst.pending, pst.seen))
-    for q in _trackers(s, p):
-        qst = out.get(q)
-        nsubs = qst.nsubs
-        for tp in added:
-            nsubs = nsubs_insert(nsubs, tp, p)
-        out = out.with_peer(q, FloodPeer(qst.pubs, qst.subs, nsubs, qst.pending, qst.seen))
-    return out
+    return _record(out, _trackers(s, p), p, added, nsubs_insert)
 
 
 def unsubscribe(p: PeerId, topics, s: FloodState) -> FloodState:
@@ -217,13 +224,7 @@ def _unsubscribe(p: PeerId, topics: tuple[Topic, ...], s: FloodState) -> FloodSt
     if not removed:
         return s
     out = s.with_peer(p, FloodPeer(pst.pubs, difference(pst.subs, removed), pst.nsubs, pst.pending, pst.seen))
-    for q in _trackers(s, p):
-        qst = out.get(q)
-        nsubs = qst.nsubs
-        for tp in removed:
-            nsubs = nsubs_remove(nsubs, tp, p)
-        out = out.with_peer(q, FloodPeer(qst.pubs, qst.subs, nsubs, qst.pending, qst.seen))
-    return out
+    return _record(out, _trackers(s, p), p, removed, nsubs_remove)
 
 
 def join(p: PeerId, pubs, subs, nbrs, s: FloodState) -> FloodState:
@@ -249,14 +250,7 @@ def _join(p, pubs, subs, nbrs, s: FloodState) -> FloodState:
     for q in visible:
         for tp in s.get(q).subs:
             nsubs = nsubs_insert(nsubs, tp, q)
-    out = s.with_peer(p, FloodPeer(pubs, subs, nsubs, (), ()))
-    for q in visible:
-        qst = out.get(q)
-        qn = qst.nsubs
-        for tp in subs:
-            qn = nsubs_insert(qn, tp, p)
-        out = out.with_peer(q, FloodPeer(qst.pubs, qst.subs, qn, qst.pending, qst.seen))
-    return out
+    return _record(s.with_peer(p, FloodPeer(pubs, subs, nsubs, (), ())), visible, p, subs, nsubs_insert)
 
 
 def leave(p: PeerId, s: FloodState) -> FloodState:
@@ -408,14 +402,12 @@ def _possible_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:
 
 def step_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:
     """All step cases that accept (s, u); used for match diagnostics."""
-    return tuple(
-        k for k in _possible_kinds(s, u) if k == "skip" or _STEP_TESTS[k](s, u)
-    )
+    return tuple(k for k in _possible_kinds(s, u) if _STEP_TESTS[k](s, u))
 
 
 def is_step(s: FloodState, u: FloodState) -> bool:
     """The transition relation: any of the seven cases accepts (s, u)."""
     for k in _possible_kinds(s, u):
-        if k == "skip" or _STEP_TESTS[k](s, u):
+        if _STEP_TESTS[k](s, u):
             return True
     return False

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import flood_model as fn
 from .core import Message, ordered_set
@@ -72,15 +72,7 @@ class GeneratorConfig:
         return tuple(f"m{i}" for i in range(self.max_messages))
 
     def to_obj(self) -> dict:
-        return {
-            "max_peers": self.max_peers,
-            "max_topics": self.max_topics,
-            "max_messages": self.max_messages,
-            "steps": self.steps,
-            "seed": self.seed,
-            "weights": dict(sorted(self.effective_weights().items())),
-            "static": self.static,
-        }
+        return dict(asdict(self), weights=dict(sorted(self.effective_weights().items())))
 
 
 def _sample_subset(rng: random.Random, pool, most=None):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import flood_model as fn
 from .core import ContractError, Message, PeerId, Topic, canonical_json
@@ -48,23 +48,17 @@ class TraceEvent:
     post_digest: str = ""
 
     def to_obj(self) -> dict:
-        obj: dict = {"index": self.index, "kind": self.kind}
-        if self.peer is not None:
-            obj["peer"] = self.peer
-        if self.message is not None:
-            obj["message"] = self.message.to_obj()
-        if self.topics:
-            obj["topics"] = list(self.topics)
-        if self.pubs:
-            obj["pubs"] = list(self.pubs)
-        if self.subs:
-            obj["subs"] = list(self.subs)
-        if self.nbrs:
-            obj["nbrs"] = list(self.nbrs)
-        if self.pre_digest:
-            obj["pre_digest"] = self.pre_digest
-        if self.post_digest:
-            obj["post_digest"] = self.post_digest
+        """Every field that differs from its default; index and kind have none, so peer 0 and index 0 are kept."""
+        obj = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value == f.default:
+                continue
+            if isinstance(value, Message):
+                value = value.to_obj()
+            elif isinstance(value, tuple):
+                value = list(value)
+            obj[f.name] = value
         return obj
 
 

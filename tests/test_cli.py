@@ -147,7 +147,9 @@ def test_unsound_replayed_step_is_a_counterexample(tmp_path, monkeypatch, capsys
 
 def test_enumerate_small(capsys):
     assert main(["enumerate", "--peers", "1", "--topics", "1", "--messages", "0"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.out.endswith("}\n") and captured.err == ""
+    out = json.loads(captured.out)
     assert out["discrepancies"] == []
     assert out["discrepancy_counts"] == {}
     assert out["flood_states"] == 9

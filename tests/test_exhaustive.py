@@ -172,7 +172,9 @@ def test_step_cases_agree_with_the_successor_kinds(model, states, successors, bo
     # from s (u == s is only ever a skip: a no-op subscribe or an empty
     # partial broadcast also yields s); the flood gate may only drop kinds
     # whose test would reject the pair, and the spec classifier names the
-    # first accepting case
+    # first accepting case. The flood cases exclude one another, so at most
+    # one accepts; only the spec needs a first-case rule, because every
+    # broadcast is also a partial broadcast to the subscribers and the origin
     universe = list(states(*bounds))
     pools = universe_pools(*bounds)
     for s in universe:
@@ -183,6 +185,7 @@ def test_step_cases_agree_with_the_successor_kinds(model, states, successors, bo
             accepted = [k for k, test in model._STEP_TESTS.items() if test(s, u)]
             assert set(accepted) == ({"skip"} if u == s else generated.get(u, set())), (s, u)
             if model is fn:
+                assert len(accepted) <= 1, (s, u, accepted)
                 assert set(fn.step_kinds(s, u)) == set(accepted), (s, u)
             else:
                 assert bn.step_kind(s, u) == (accepted or [None])[0], (s, u)

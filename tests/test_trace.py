@@ -6,6 +6,7 @@ import pytest
 from pubsub_refine.core import Message
 from pubsub_refine.exhaustive import _subsets, enumerate_flood_states, flood_successors, universe_pools
 from pubsub_refine.flood_model import FloodPeer, FloodState
+from pubsub_refine.scenario import emit_scenario, parse_scenario
 from pubsub_refine.trace import EVENT_KINDS, TraceError, TraceEvent, apply_event, make_event, run_trace, state_digest
 
 M = Message("x", "t1", 1)
@@ -99,6 +100,19 @@ def test_event_serialization_round_trip_fields():
     obj = ev.to_obj()
     assert obj["kind"] == "subscribe" and obj["peer"] == 2 and obj["topics"] == ["t2"]
     assert "message" not in obj
+
+
+def test_events_survive_a_scenario_round_trip():
+    # every field at its default and off it: peer 0, index 0, a join with
+    # pubs, subs and nbrs, and both digests
+    digest = state_digest(S)
+    events = list(_events(*universe_pools(2, 2, 1))) + [
+        TraceEvent(0, "join", peer=3, pubs=("t1",), subs=("t1", "t2"), nbrs=(1, 2)),
+        TraceEvent(0, "produce", message=M, pre_digest=digest, post_digest=digest),
+        TraceEvent(4, "leave", peer=0, pre_digest=digest, post_digest="f" * 64),
+    ]
+    assert any(ev.peer == 0 for ev in events)
+    assert parse_scenario(emit_scenario(S, events)) == (S, events)
 
 
 def _enabled(s, ev):
