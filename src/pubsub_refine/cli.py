@@ -135,8 +135,8 @@ def _usage_error(e) -> int:
 
 
 def _fuzz_config(args) -> GeneratorConfig:
-    if args.traces < 1 or args.steps < 1:
-        raise ValueError("--traces and --steps must be at least 1")
+    if min(args.traces, args.steps, args.max_peers) < 1:
+        raise ValueError("--traces, --steps and --max-peers must be at least 1")
     return GeneratorConfig(
         max_peers=args.max_peers,
         max_topics=args.max_topics,
@@ -156,6 +156,8 @@ def _run(args) -> int:
 
     start = time.monotonic()
     if args.command == "enumerate":
+        if args.peers < 1:  # the empty network alone: nothing would be checked
+            return _usage_error("--peers must be at least 1")
         try:
             report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
         except ValueError as e:

@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 
@@ -8,6 +11,7 @@ import pytest
 from pubsub_refine import cli, runner
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
+from pubsub_refine.exhaustive import enumerate_flood_states
 from pubsub_refine.generate import GeneratorConfig
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
@@ -201,9 +205,16 @@ def test_enumerate_rejects_negative_bounds(bounds, capsys):
     assert_usage_error(["enumerate", "--peers", peers, "--topics", topics, "--messages", messages], capsys)
 
 
-@pytest.mark.parametrize("flags", [["--traces", "0"], ["--traces", "-1"], ["--steps", "0"]])
+@pytest.mark.parametrize("flags", [["--traces", "0"], ["--traces", "-1"], ["--steps", "0"],
+                                   ["--max-peers", "0", "--traces", "3"], ["--max-peers", "-1"]])
 def test_fuzz_that_checks_nothing_is_a_usage_error(flags, capsys):
+    # no trace, no step, or no peer (every state the empty network, every step a skip)
     assert_usage_error(["fuzz", *flags], capsys)
+
+
+def test_enumerate_without_a_peer_is_a_usage_error(capsys):
+    # the universe would be the empty network alone
+    assert_usage_error(["enumerate", "--peers", "0", "--topics", "3", "--messages", "2"], capsys)
 
 
 def test_run_rejects_json_nested_beyond_the_decoder(tmp_path, capsys):
@@ -287,3 +298,42 @@ def test_the_collector_is_back_on_after_an_internal_error(monkeypatch, capsys):
     assert gc.isenabled()
     assert main(["fuzz", "--traces", "1", "--steps", "1"]) == 3
     assert seen == [False] and gc.isenabled()
+
+
+ENUMERATE_111 = ["enumerate", "--peers", "1", "--topics", "1", "--messages", "1"]
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("row, message", [
+    (-1, "internal error: RuntimeError: worker for rows 16..32 failed: status 1, 0 bytes sent\n"),
+    (0, "internal error: RuntimeError: planted\n"),
+], ids=["in-a-worker", "in-the-parent"])
+def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_process(row, message, monkeypatch, capsys):
+    # two usable CPUs: the first half of the rows is decided here, the rest in a forked worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(ENUMERATE_111) == 0
+    capsys.readouterr()
+    assert_no_child_process()
+    crash_at, real = list(enumerate_flood_states(1, 1, 1))[row], fn.is_step
+
+    def crashing(s, u):
+        if s == crash_at:
+            raise RuntimeError("planted")
+        return real(s, u)
+
+    monkeypatch.setattr(fn, "is_step", crashing)
+    assert main(ENUMERATE_111) == 3
+    assert capsys.readouterr().err == message
+    assert_no_child_process()
+
+
+def test_the_cli_starts_without_loading_a_process_pool():
+    # set-up time is a benchmark metric: the row split forks by hand instead
+    code = "import sys, pubsub_refine.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

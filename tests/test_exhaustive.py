@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import time
 
 import pytest
@@ -127,6 +128,46 @@ def test_only_the_first_discrepancies_are_kept(monkeypatch):
     assert first["check"] == "flood-relation-agreement"
     assert first["relation"] is True and first["enumerated"] is False
     assert report.to_obj()["discrepancy_counts"] == {"flood-relation-agreement": 25340}
+
+
+def test_rows_are_cut_into_one_contiguous_slice_per_usable_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert exhaustive._in_workers(7, lambda lo, hi: [lo, hi]) == [[0, 2], [2, 4], [4, 7]]
+    assert exhaustive._in_workers(2, lambda lo, hi: [lo, hi]) == [[0, 1], [1, 2]]  # never more workers than rows
+
+
+@pytest.mark.parametrize("model, is_step, bounds, counts", [
+    (None, None, (1, 1, 2), {}),
+    (fn, lambda s, u: True, (1, 1, 2), {"flood-relation-agreement": 25340}),
+    (bn, lambda s, u: False, (1, 1, 1), {"broadcast-relation-agreement": 33}),
+], ids=["passing", "flood-accepts-every-pair", "broadcast-rejects-every-pair"])
+def test_splitting_the_rows_over_workers_leaves_the_report_as_it_is(monkeypatch, model, is_step, bounds, counts):
+    # one CPU decides every row in this process; with two or three, the
+    # forked workers' counts and dumps are merged back in row order
+    if model is not None:
+        monkeypatch.setattr(model, "is_step", is_step)
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    texts = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        forks.clear()
+        report = run_exhaustive(*bounds).to_obj()
+        assert len(forks) == 2 * (cpus - 1)  # the flood and the broadcast check each start cpus - 1 workers
+        assert report["discrepancy_counts"] == counts
+        assert len(report["discrepancies"]) == min(sum(counts.values()), KEPT_DISCREPANCIES)
+        del report["elapsed_seconds"]
+        texts.add(json.dumps(report))
+    assert len(texts) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("model, check, states, successors", [
