@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 
 from . import flood_model as fn
-from .core import indented_json
+from .core import canonical_json
 from .refinement import WfsVerdict, check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -141,8 +141,8 @@ def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> Ste
 
 
 def emit_report(report) -> str:
-    """A report's to_obj as indented JSON with one final newline; every command writes its report so."""
-    return indented_json(report.to_obj()) + "\n"
+    """A report's to_obj as canonical JSON on one line, with one final newline; every command writes its report so."""
+    return canonical_json(report.to_obj()) + "\n"
 
 
 def check_trace_refinement(states, kinds, config: dict | None = None) -> CheckReport:

@@ -17,7 +17,7 @@ import sys
 import time
 
 from .checking import emit_report
-from .exhaustive import run_exhaustive
+from .exhaustive import BoundsError, run_exhaustive
 from .faults import FAULTS, run_fault
 from .generate import GeneratorConfig, default_weights
 from .runner import fuzz_run, scenario_run
@@ -160,7 +160,7 @@ def _run(args) -> int:
             return _usage_error("--peers must be at least 1")
         try:
             report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
-        except ValueError as e:
+        except BoundsError as e:
             return _usage_error(e)
     elif args.command == "fuzz":
         try:

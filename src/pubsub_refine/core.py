@@ -12,7 +12,6 @@ topics_witness and join_witness, serve both models.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -235,79 +234,6 @@ def join_witness(s: PeerMap[V], u: PeerMap[V]) -> tuple[PeerId, V] | None:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON encoding used for digests and report comparison."""
+    """Sorted keys and no whitespace: the one encoding of every digest and every report."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def indented_json(obj) -> str:
-    """What json.dumps gives with indent=2 and sort_keys=True, byte for byte.
-
-    With an indent the standard library drops to its pure-Python
-    generator encoder; a report of fuzz at 500x20 is about 4 MB, and
-    appending the pieces straight to one list takes a fraction of that
-    time. Strings go through the same C escaper, and numbers, key
-    conversion and empty containers follow the standard encoder. A value
-    JSON cannot encode raises TypeError, as json.dumps does.
-    """
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _write_json(o, nl: str, out: list[str]):
-    text = _scalar_json(o)
-    if text is not None:
-        out.append(text)
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            _write_json(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            key = k if isinstance(k, str) else _scalar_json(k)  # json.dumps spells a scalar key as its JSON text
-            if key is None:
-                raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-            out.append(sep + _encode_str(key) + ": ")
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _scalar_json(o) -> str | None:
-    """The JSON text of a scalar as json.dumps writes it, or None for anything else."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None

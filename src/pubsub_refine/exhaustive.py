@@ -280,12 +280,16 @@ def _check_agreement(report: ExhaustiveReport, check: str, states: list, succ_id
     return len(states) ** 2
 
 
+class BoundsError(ValueError):
+    """Bounds run_exhaustive refuses before building anything: a usage error, unlike any ValueError of the run."""
+
+
 def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> ExhaustiveReport:
     """Cross-check relations, good-state preservation and obligations within bounds."""
     if min(peers, topics, messages) < 0:
-        raise ValueError("bounds must be non-negative")
+        raise BoundsError("bounds must be non-negative")
     if estimate_flood_states(peers, topics, messages, cap) > cap:
-        raise ValueError(
+        raise BoundsError(
             f"bounds ({peers} peers, {topics} topics, {messages} messages) "
             f"yield more flood states than {cap}, above the cap"
         )

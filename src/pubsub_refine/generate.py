@@ -52,10 +52,10 @@ class GeneratorConfig:
         bad = sorted(k for k, w in self.weights.items() if not 0 <= float(w) < math.inf)
         if bad:
             raise ValueError(f"weights must be finite and non-negative: {', '.join(bad)}")
-        total = sum(self.effective_weights().values())
-        if not total:
-            raise ValueError("at least one transition weight must be positive")
-        if total == math.inf:
+        weights = self.effective_weights()
+        if not any(w for kind, w in weights.items() if kind != "skip"):  # every step would be a skip
+            raise ValueError("a transition other than skip must have a positive weight")
+        if sum(weights.values()) == math.inf:
             raise ValueError("the transition weights must have a finite total")
 
     def effective_weights(self) -> dict[str, float]:

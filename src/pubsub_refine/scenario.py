@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 
 from . import flood_model as fn
-from .core import Message, indented_json, is_ascending
+from .core import Message, is_ascending
 from .trace import EVENT_KINDS, TraceEvent
 
 
@@ -201,8 +201,9 @@ def parse_scenario(document: str) -> tuple[fn.FloodState, list[TraceEvent]]:
 
 
 def emit_scenario(state: fn.FloodState, events) -> str:
+    """The scenario as a file people read and edit: sorted keys, indented by two, one final newline."""
     obj = {"state": state.to_obj(), "events": [ev.to_obj() for ev in events]}
-    return indented_json(obj) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def load_scenario(path) -> tuple[fn.FloodState, list[TraceEvent]]:

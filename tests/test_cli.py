@@ -11,6 +11,7 @@ import pytest
 from pubsub_refine import cli, runner
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
+from pubsub_refine.core import ContractError, canonical_json
 from pubsub_refine.exhaustive import enumerate_flood_states
 from pubsub_refine.generate import GeneratorConfig
 
@@ -206,9 +207,12 @@ def test_enumerate_rejects_negative_bounds(bounds, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--traces", "0"], ["--traces", "-1"], ["--steps", "0"],
-                                   ["--max-peers", "0", "--traces", "3"], ["--max-peers", "-1"]])
+                                   ["--max-peers", "0", "--traces", "3"], ["--max-peers", "-1"],
+                                   ["--weights", "produce=0,forward=0,subscribe=0,unsubscribe=0,join=0,leave=0"],
+                                   ["--static", "--weights", "produce=0,forward=0"]])
 def test_fuzz_that_checks_nothing_is_a_usage_error(flags, capsys):
-    # no trace, no step, or no peer (every state the empty network, every step a skip)
+    # no trace, no step, no peer (every state the empty network, every step a skip),
+    # or weights that leave only skip, with or without churn
     assert_usage_error(["fuzz", *flags], capsys)
 
 
@@ -303,17 +307,42 @@ def test_the_collector_is_back_on_after_an_internal_error(monkeypatch, capsys):
 ENUMERATE_111 = ["enumerate", "--peers", "1", "--topics", "1", "--messages", "1"]
 
 
+
+@pytest.mark.parametrize("argv, code", [
+    (["fuzz", "--traces", "3", "--steps", "4", "--max-peers", "3", "--seed", "5"], 0),
+    (["run", str(FIGURE1)], 0),
+    (["mutate", "--fault", "drop-receiver"], 1),
+    (["mutate", "--fault", "none"], 0),
+    (ENUMERATE_111, 0),
+], ids=["fuzz", "run", "mutate-drop-receiver", "mutate-none", "enumerate"])
+def test_every_report_is_written_as_canonical_json_on_one_line(argv, code, capsys):
+    # the encoding of the digests: sorted keys, no whitespace, one final newline
+    assert main(argv) == code
+    text = capsys.readouterr().out
+    assert text == canonical_json(json.loads(text)) + "\n"
+
+
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("row, message", [
-    (-1, "internal error: RuntimeError: worker for rows 16..32 failed: status 1, 0 bytes sent\n"),
-    (0, "internal error: RuntimeError: planted\n"),
-], ids=["in-a-worker", "in-the-parent"])
-def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_process(row, message, monkeypatch, capsys):
-    # two usable CPUs: the first half of the rows is decided here, the rest in a forked worker
+WORKER_FAILED = "internal error: RuntimeError: worker for rows 16..32 failed: status 1, 0 bytes sent\n"
+
+
+@pytest.mark.parametrize("row, error, message", [
+    (-1, RuntimeError, WORKER_FAILED),
+    (0, RuntimeError, "internal error: RuntimeError: planted\n"),
+    (-1, ValueError, WORKER_FAILED),
+    (0, ValueError, "internal error: ValueError: planted\n"),
+    (-1, ContractError, WORKER_FAILED),
+    (0, ContractError, "internal error: ContractError: planted\n"),
+], ids=["in-a-worker", "in-the-parent", "value-error-in-a-worker", "value-error-in-the-parent",
+        "contract-error-in-a-worker", "contract-error-in-the-parent"])
+def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_process(row, error, message, monkeypatch,
+                                                                                   capsys):
+    # two usable CPUs: the first half of the rows is decided here, the rest in a forked worker;
+    # a ValueError of the checker, a guard's ContractError included, is no usage error
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(ENUMERATE_111) == 0
     capsys.readouterr()
@@ -322,7 +351,7 @@ def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_proces
 
     def crashing(s, u):
         if s == crash_at:
-            raise RuntimeError("planted")
+            raise error("planted")
         return real(s, u)
 
     monkeypatch.setattr(fn, "is_step", crashing)

@@ -114,6 +114,9 @@ def test_config_validation():
         GeneratorConfig(weights={"teleport": 1.0})
     with pytest.raises(ValueError, match="positive"):
         GeneratorConfig(weights={"skip": 0.0})
+    with pytest.raises(ValueError, match="other than skip"):
+        # a run of skips alone would check nothing
+        GeneratorConfig(weights={"skip": 1.0})
     with pytest.raises(ValueError, match="positive"):
         # static mode zeroes the only weighted kind
         GeneratorConfig(weights={"join": 1.0}, static=True)

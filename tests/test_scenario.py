@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from pubsub_refine.cli import main
 from pubsub_refine.core import Message
 from pubsub_refine.flood_model import FloodPeer, FloodState
-from pubsub_refine.scenario import ScenarioError, emit_scenario, parse_scenario, parse_state
+from pubsub_refine.scenario import ScenarioError, emit_scenario, load_scenario, parse_scenario, parse_state
 
 MSG = {"pld": "x", "tp": "t1", "or": 1}
 
@@ -33,6 +34,12 @@ def test_state_round_trip():
     parsed, _ = parse_scenario(text)
     assert parsed == state
     assert emit_scenario(parsed, []) == text
+
+
+def test_emitting_a_scenario_file_gives_back_its_exact_text():
+    # scenario files are edited by hand, so unlike reports they stay indented
+    with resources.as_file(resources.files("pubsub_refine") / "scenarios" / "figure1.json") as figure1:
+        assert emit_scenario(*load_scenario(figure1)) == figure1.read_text(encoding="utf-8")
 
 
 def test_peer_ids_parsed_numerically_and_sorted():
