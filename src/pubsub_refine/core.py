@@ -138,6 +138,14 @@ def map_keys(entries: tuple[tuple[K, V], ...]) -> tuple[K, ...]:
     return tuple(k for k, _ in entries)
 
 
+def memo(obj, fact: str, decide: Callable[..., T]) -> T:
+    """decide(obj), decided on the first call for this immutable object and kept in its __dict__."""
+    facts = obj.__dict__
+    if fact not in facts:
+        facts[fact] = decide(obj)
+    return facts[fact]
+
+
 @dataclass(frozen=True)
 class PeerMap(Generic[V]):
     """Finite map peer -> per-peer state with strictly ascending keys.
@@ -147,8 +155,9 @@ class PeerMap(Generic[V]):
     equal, even when both are empty.
 
     A state is immutable, so every fact derived from it (its hash, whether
-    it is good, its digest) is decided once and kept on the object by memo.
-    The kept facts are not fields: equality, repr and to_obj never see them.
+    it is good, its digest) is decided once and kept on the object by memo;
+    a peer state keeps its digest fragment the same way. The kept facts are
+    not fields: equality, hash, repr and to_obj never see them.
     """
 
     entries: tuple[tuple[PeerId, V], ...] = ()
@@ -156,14 +165,9 @@ class PeerMap(Generic[V]):
     def __hash__(self) -> int:
         # every cache lookup hashes the state; hashing the entries would
         # rehash each nested peer state every time
-        return self.memo("hash", _hash_entries)
+        return memo(self, "hash", _hash_entries)
 
-    def memo(self, fact: str, decide: Callable[["PeerMap"], T]) -> T:
-        """decide(self), decided on the first call for this object and kept on it."""
-        facts = self.__dict__
-        if fact not in facts:
-            facts[fact] = decide(self)
-        return facts[fact]
+    memo = memo  # s.memo(fact, decide) is memo(s, fact, decide)
 
     def get(self, p: PeerId) -> V | None:
         return map_get(self.entries, p)

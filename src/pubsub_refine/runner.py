@@ -27,6 +27,7 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
         s = gen_good_state(cfg, rng)
         if not fn.is_good_state(s):
             report.add(check_step(index, s, s, "init"), s, s)
+            index += 1
             continue
         for _ in range(cfg.steps):
             ev = gen_enabled_transition(s, cfg, rng, index=index)

@@ -6,7 +6,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from . import flood_model as fn
-from .core import ContractError, Message, PeerId, Topic, canonical_json
+from .core import ContractError, Message, PeerId, Topic, canonical_json, memo
 
 EVENT_KINDS = fn.STEP_KINDS
 
@@ -19,13 +19,22 @@ def state_digest(s) -> str:
     """sha256 of the state's canonical JSON, computed once per state object.
 
     A replayed trace digests each state as the post-state of one step and
-    again as the pre-state of the next.
+    again as the pre-state of the next. Each peer is encoded once per peer
+    object and shared by the states that hold it, so a step re-encodes only
+    the peers its transition replaced.
     """
     return s.memo("digest", _digest)
 
 
 def _digest(s) -> str:
-    return hashlib.sha256(canonical_json(s.to_obj()).encode("utf-8")).hexdigest()
+    # exactly canonical_json(s.to_obj()): its keys sort as strings, so peer 10 precedes peer 2
+    peers = sorted((str(p), memo(pst, "json", _peer_json)) for p, pst in s.entries)
+    text = '{"peers":{' + ",".join(f'"{p}":{obj}' for p, obj in peers) + "}}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _peer_json(pst) -> str:
+    return canonical_json(pst.to_obj())
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ failing any other test, so these tests load the script and resolve every
 name it uses. perfbench/run.py keeps its own copies of the flood step
 kinds, the built-in faults and the enumerate counts it gates on; these
 tests hold them to the package's, and run a passing report through its
-report judge.
+report judge. Its replay scenario carries digests from its own encoder,
+which replay must accept.
 """
 
 import importlib.util
@@ -21,6 +22,8 @@ from pubsub_refine import faults
 from pubsub_refine import flood_model as fn
 from pubsub_refine.checking import check_trace_refinement, emit_report
 from pubsub_refine.exhaustive import run_exhaustive
+from pubsub_refine.scenario import parse_scenario
+from pubsub_refine.trace import run_trace, state_digest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED_CLI = PERFBENCH / "traced_cli.py"
@@ -86,3 +89,12 @@ def test_a_passing_report_passes_the_benchmark_judge(bench_run):
     verdict = bench_run.judge_check_report(1)(report)
     assert verdict.problems == [] and verdict.failed == 0
     assert (verdict.checks, verdict.pairs) == (1, 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_replay_accepts_the_digests_of_the_benchmark_encoder(bench_run, seed):
+    # the benchmark writes its flood semantics and its digests without the package
+    doc = bench_run.deep_pending_scenario(seed, events=60)
+    s0, events = parse_scenario(json.dumps(doc))
+    states = run_trace(s0, events)
+    assert [state_digest(s) for s in states] == [events[0].pre_digest] + [ev.post_digest for ev in events]

@@ -202,6 +202,21 @@ def test_fuzz_applies_each_event_once_and_digests_nothing(monkeypatch):
     assert calls == {"applied": 400}
 
 
+def test_fuzz_numbers_every_step_once_after_a_non_good_start_state(monkeypatch):
+    gen_good_state = runner.gen_good_state
+    starts = []
+
+    def self_tracking_first(cfg, rng):
+        s = gen_good_state(cfg, rng)
+        starts.append(s)
+        return flood([(1, fn.FloodPeer(nsubs=(("t1", (1,)),)))]) if len(starts) == 1 else s
+
+    monkeypatch.setattr(runner, "gen_good_state", self_tracking_first)
+    report = fuzz_run(GeneratorConfig(seed=1, steps=5), traces=3)
+    assert report.steps[0].kind == "init" and not report.ok
+    assert [rec.index for rec in report.steps] == list(range(1 + 2 * 5))
+
+
 def test_fuzz_refuses_a_disabled_generated_event(monkeypatch):
     monkeypatch.setattr(runner, "gen_enabled_transition", lambda s, cfg, rng, index: TraceEvent(index, "leave", peer=99))
     with pytest.raises(TraceError, match=r"step 0 \(leave\).*not in state"):

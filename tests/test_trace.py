@@ -1,11 +1,15 @@
+import hashlib
+import random
 import re
 from dataclasses import replace
 
 import pytest
 
-from pubsub_refine.core import Message
+from pubsub_refine import flood_model as fn
+from pubsub_refine.core import Message, canonical_json
 from pubsub_refine.exhaustive import _subsets, enumerate_flood_states, flood_successors, universe_pools
 from pubsub_refine.flood_model import FloodPeer, FloodState
+from pubsub_refine.generate import GeneratorConfig, gen_good_state
 from pubsub_refine.scenario import emit_scenario, parse_scenario
 from pubsub_refine.trace import EVENT_KINDS, TraceError, TraceEvent, apply_event, make_event, run_trace, state_digest
 
@@ -44,6 +48,57 @@ def test_digests_verified():
     for tag in ("pre", "post"):
         with pytest.raises(TraceError, match=f"{tag}-state digest mismatch"):
             run_trace(S, [replace(produce, **{f"{tag}_digest": "0" * 64})])
+
+
+def whole_state_digest(s):
+    return hashlib.sha256(canonical_json(s.to_obj()).encode("utf-8")).hexdigest()
+
+
+def test_the_digest_is_the_sha256_of_the_whole_state_json():
+    rng, cfg = random.Random(7), GeneratorConfig(max_peers=8)
+    generated = [gen_good_state(cfg, rng) for _ in range(1000)]
+    # ids reach 16, so string order ("10" < "2") and numeric order differ
+    assert any(2 <= min(s.keys()) <= 9 and max(s.keys()) >= 10 for s in generated if s.entries)
+    two_and_ten = FloodState(((2, FloodPeer(subs=("t1",))), (10, FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),)))))
+    accents = FloodState(((1, FloodPeer(pubs=("\u00e9",), subs=("\u00e9",), pending=(Message("\u00a0\u2028", "\u00e9", 1),))),))
+    digested = FloodState(((1, FloodPeer(subs=("t1",))), (3, FloodPeer())))
+    state_digest(digested)
+    extended = digested.with_peer(12, FloodPeer(seen=(M,)))
+    for s in [*generated, two_and_ten, accents, FloodState(()), digested, extended]:
+        assert state_digest(s) == whole_state_digest(s), s
+
+
+def test_a_step_reencodes_only_the_peers_it_replaced(monkeypatch):
+    m = Message("only-here", "t-spy", 1)
+    s = FloodState(
+        (
+            (1, FloodPeer(pubs=("t-spy",), subs=("t-spy",), nsubs=(("t-spy", (2,)),))),
+            (2, FloodPeer(subs=("t-spy",))),
+            (3, FloodPeer(subs=("t-other",))),
+        )
+    )
+    encoded = []
+    to_obj = FloodPeer.to_obj
+    monkeypatch.setattr(FloodPeer, "to_obj", lambda pst: encoded.append(pst) or to_obj(pst))
+    state_digest(s)
+    assert len(encoded) == 3
+    produced = fn.produce(m, s)
+    encoded.clear()
+    state_digest(produced)
+    assert encoded == [produced.get(1)]
+    forwarded = fn.forward(1, m, produced)
+    encoded.clear()
+    state_digest(forwarded)
+    assert encoded == [forwarded.get(1), forwarded.get(2)]
+    assert forwarded.get(3) is s.get(3)
+
+
+def test_a_digested_peer_equals_an_undigested_one():
+    digested, fresh = (FloodPeer(pubs=("t1",), pending=(M,)) for _ in range(2))
+    state_digest(FloodState(((1, digested),)))
+    assert digested == fresh and hash(digested) == hash(fresh) and repr(digested) == repr(fresh)
+    assert digested.to_obj() == fresh.to_obj()
+    assert FloodState(((1, digested),)) == FloodState(((1, fresh),))
 
 
 def test_disabled_event_names_step_and_reason():
