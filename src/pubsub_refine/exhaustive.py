@@ -8,8 +8,8 @@ are exactly the non-good states the relations must still handle.
 
 For each state it then builds the brute-force successor set: it offers
 every argument combination in the pools (the state's own peers for
-subscription changes, neighbours and receivers) to its transition and
-keeps what the transition's guard accepts. It cross-checks four things:
+forwards, subscription changes, neighbours and receivers) to its
+transition and keeps what the guard accepts. It cross-checks four things:
 
   * every successor lies inside the universe,
   * the step relation agrees with successor-set membership on all state
@@ -148,9 +148,10 @@ def flood_successors(s: fn.FloodState, peer_pool, topic_pool, msg_pool):
     out = [("skip", s)]
     for m in msg_pool:
         _offer(out, "produce", fn.produce, m, s)
-    for m in fn.pending_messages(s):
-        _offer(out, "forward", fn.forward, fn.find_forwarder(s, m), m, s)
     keys = s.keys()
+    for m in fn.pending_messages(s):
+        for p in keys:
+            _offer(out, "forward", fn.forward, p, m, s)
     for p in keys:
         for topics in _subsets(topic_pool):
             _offer(out, "subscribe", fn.subscribe, p, topics, s)

@@ -21,13 +21,14 @@ case whose transition refuses the recovered arguments does not apply: the
 transition's ContractError guard, asked through core.enabled, is the one
 statement of when it is enabled, and no case restates it. The produced
 message heads the pending set of the first changed entry; the forwarded
-message is the first one that some pending set lost, since neighbors only
-gain messages. The topics and join walks, core.topics_witness and
-core.join_witness, are the ones the specification side uses too:
-subscribe/unsubscribe and join also touch *other* peers' nsubs maps, so
-the topics walk skips entries whenever key and subs agree, and the join
-walk compares keys only. Replay equality still decides every case, so no
-witness can produce a false positive.
+message is the first one that some pending set lost (neighbors only gain
+messages), and forward's guard accepts the peer that lost it only if it
+is the first peer in key order to hold it. The topics and join walks,
+core.topics_witness and core.join_witness, serve the specification side
+too: subscribe/unsubscribe and join also touch *other* peers' nsubs maps,
+so the topics walk skips entries whenever key and subs agree, and the
+join walk compares keys only. Replay equality still decides every
+case, so no witness can produce a false positive.
 """
 
 from __future__ import annotations
@@ -135,19 +136,28 @@ def produce(m: Message, s: FloodState) -> FloodState:
     return s.with_peer(m.origin, _add_pending(m, origin_st))
 
 
+def find_forwarder(s: FloodState, m: Message) -> PeerId:
+    """The first peer (in key order) whose pending set contains m."""
+    for p, pst in s.entries:
+        if m in pst.pending:
+            return p
+    raise ContractError(f"find-forwarder: message {m} not pending anywhere")
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def forward(p: PeerId, m: Message, s: FloodState) -> FloodState:
     """Peer p processes its pending message m and floods it to its neighbors.
 
-    p's own entry moves m from pending to seen; every peer listed under
-    m's topic in p's nsubs map then gains m in pending, unless it already
-    holds or has seen it. Neighbors absent from the state are skipped.
+    Only find_forwarder(s, m) may: this guard alone says who forwards. p
+    moves m from pending to seen, and each present peer under m's topic in
+    p's nsubs map gains m in pending unless it holds or has seen it.
     """
     pst = s.get(p)
     if pst is None:
         raise ContractError(f"forward: peer {p} not in state")
-    if m not in pst.pending:
-        raise ContractError(f"forward: message {m} not pending at peer {p}")
+    forwarder = find_forwarder(s, m)
+    if p != forwarder:
+        raise ContractError(f"forward: peer {p} is not the designated forwarder {forwarder}")
     targets = nsubs_topic(pst.nsubs, m.topic)
     forwarded = FloodPeer(
         pst.pubs,
@@ -161,14 +171,6 @@ def forward(p: PeerId, m: Message, s: FloodState) -> FloodState:
         (q, _add_pending(m, qst) if q in targets else qst) for q, qst in updated.entries
     )
     return FloodState(entries)
-
-
-def find_forwarder(s: FloodState, m: Message) -> PeerId:
-    """The first peer (in key order) whose pending set contains m."""
-    for p, pst in s.entries:
-        if m in pst.pending:
-            return p
-    raise ContractError(f"find-forwarder: message {m} not pending anywhere")
 
 
 def _trackers(s: FloodState, p: PeerId) -> tuple[PeerId, ...]:
@@ -310,14 +312,14 @@ def is_forward_step(s: FloodState, u: FloodState) -> bool:
     """The forwarded message is the first one that some pending set lost.
 
     A forward only adds to its neighbors' pending sets, so the forwarder is
-    the one peer that loses a pending message.
+    the one peer that loses a pending message; forward's guard accepts it or not.
     """
     es, eu = s.entries, u.entries
     i = first_difference(es, eu, _keeps_pending)
     if i == len(es) or i == len(eu) or es[i][0] != eu[i][0]:
         return False
     m = difference(es[i][1].pending, eu[i][1].pending)[0]
-    return u == enabled(forward, find_forwarder(s, m), m, s)
+    return u == enabled(forward, es[i][0], m, s)
 
 
 def is_subscribe_step(s: FloodState, u: FloodState) -> bool:

@@ -53,8 +53,10 @@ class GeneratorConfig:
         if bad:
             raise ValueError(f"weights must be finite and non-negative: {', '.join(bad)}")
         weights = self.effective_weights()
-        if not any(w for kind, w in weights.items() if kind != "skip"):  # every step would be a skip
-            raise ValueError("a transition other than skip must have a positive weight")
+        messages, topics = self.max_topics and self.max_messages, self.max_topics
+        drawable = {"skip": 0, "produce": messages, "forward": messages, "subscribe": topics, "unsubscribe": topics}
+        if not any(w and drawable.get(kind, 1) for kind, w in weights.items()):  # every step would be a skip
+            raise ValueError("a transition other than skip must have a positive weight and bounds that allow it")
         if sum(weights.values()) == math.inf:
             raise ValueError("the transition weights must have a finite total")
 

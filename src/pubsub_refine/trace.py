@@ -74,12 +74,8 @@ class TraceEvent:
 def apply_event(s: fn.FloodState, ev: TraceEvent) -> fn.FloodState:
     """Apply one event by calling its transition, whose guard alone decides if it is enabled.
 
-    A forward goes to find_forwarder(s, m); a peer the event names must be that one.
+    A forward without a peer goes to find_forwarder(s, m), the one peer forward's guard accepts.
     """
-
-    def fail(reason):
-        raise TraceError(f"step {ev.index} ({ev.kind}): {reason}")
-
     try:
         match ev.kind:
             case "skip":
@@ -87,10 +83,8 @@ def apply_event(s: fn.FloodState, ev: TraceEvent) -> fn.FloodState:
             case "produce":
                 return fn.produce(ev.message, s)
             case "forward":
-                forwarder = fn.find_forwarder(s, ev.message)
-                if ev.peer not in (None, forwarder):
-                    fail(f"peer {ev.peer} is not the designated forwarder {forwarder}")
-                return fn.forward(forwarder, ev.message, s)
+                peer = fn.find_forwarder(s, ev.message) if ev.peer is None else ev.peer
+                return fn.forward(peer, ev.message, s)
             case "subscribe":
                 return fn.subscribe(ev.peer, ev.topics, s)
             case "unsubscribe":
@@ -99,10 +93,11 @@ def apply_event(s: fn.FloodState, ev: TraceEvent) -> fn.FloodState:
                 return fn.join(ev.peer, ev.pubs, ev.subs, ev.nbrs, s)
             case "leave":
                 return fn.leave(ev.peer, s)
-            case _:
-                fail(f"unknown event kind {ev.kind!r}")
+            case _:  # every kind above returns
+                reason = f"unknown event kind {ev.kind!r}"
     except ContractError as e:
-        fail(e)
+        reason = e
+    raise TraceError(f"step {ev.index} ({ev.kind}): {reason}")
 
 
 def run_trace(s0: fn.FloodState, events) -> list[fn.FloodState]:

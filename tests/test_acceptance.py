@@ -13,7 +13,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
 from pubsub_refine.checking import check_trace_refinement
 from pubsub_refine.cli import main
-from pubsub_refine.core import Message, ordered_set
+from pubsub_refine.core import Message, enabled, ordered_set
 from pubsub_refine.exhaustive import run_exhaustive
 from pubsub_refine.faults import FAULTS, run_fault
 from pubsub_refine.generate import GeneratorConfig, gen_good_state
@@ -94,7 +94,7 @@ def test_acceptance_3_golden_trace():
 
 
 def test_acceptance_4_forward_preserves_map_under_stable_pending():
-    # 5,000 (peer, message, state) instances whose forward leaves the pooled
+    # 5,000 enabled forwards (peer, message, state) that leave the pooled
     # pending set unchanged must leave the mapped state unchanged
     cfg = GeneratorConfig(max_peers=6, max_topics=3, max_messages=4, seed=404)
     rng = random.Random(cfg.seed)
@@ -106,9 +106,9 @@ def test_acceptance_4_forward_preserves_map_under_stable_pending():
         s = gen_good_state(cfg, rng)
         for p, pst in s.entries:
             for m in pst.pending:
-                u = fn.forward(p, m, s)
-                if fn.pending_messages(u) != fn.pending_messages(s):
-                    continue
+                u = enabled(fn.forward, p, m, s)
+                if u is None or fn.pending_messages(u) != fn.pending_messages(s):
+                    continue  # p is not m's designated forwarder, or the pooled pending set changed
                 assert refinement_map(u) == refinement_map(s), (p, m, s)
                 checked += 1
     _verdict(4, f"map stability over {checked} pending-preserving forwards", checked >= 5_000)

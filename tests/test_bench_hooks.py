@@ -8,7 +8,8 @@ name it uses. perfbench/run.py keeps its own copies of the flood step
 kinds, the built-in faults and the enumerate counts it gates on; these
 tests hold them to the package's, and run a passing report through its
 report judge. Its replay scenario carries digests from its own encoder,
-which replay must accept.
+which replay must accept, and names the peer of every forward, which
+forward's guard must accept.
 """
 
 import importlib.util
@@ -98,3 +99,13 @@ def test_replay_accepts_the_digests_of_the_benchmark_encoder(bench_run, seed):
     s0, events = parse_scenario(json.dumps(doc))
     states = run_trace(s0, events)
     assert [state_digest(s) for s in states] == [events[0].pre_digest] + [ev.post_digest for ev in events]
+
+
+def test_replay_accepts_every_forward_of_the_benchmark_input(bench_run):
+    # the replay-deep-pending workload replays 300 events, and each forward
+    # names its peer; one the guard refused would fail the workload's gate
+    doc = bench_run.deep_pending_scenario(1, events=300)
+    s0, events = parse_scenario(json.dumps(doc))
+    forwards = [ev for ev in events if ev.kind == "forward"]
+    assert len(forwards) > 100 and all(ev.peer is not None for ev in forwards)
+    assert len(run_trace(s0, events)) == 301

@@ -209,10 +209,13 @@ def test_enumerate_rejects_negative_bounds(bounds, capsys):
 @pytest.mark.parametrize("flags", [["--traces", "0"], ["--traces", "-1"], ["--steps", "0"],
                                    ["--max-peers", "0", "--traces", "3"], ["--max-peers", "-1"],
                                    ["--weights", "produce=0,forward=0,subscribe=0,unsubscribe=0,join=0,leave=0"],
-                                   ["--static", "--weights", "produce=0,forward=0"]])
+                                   ["--static", "--weights", "produce=0,forward=0"],
+                                   ["--static", "--max-topics", "0"], ["--static", "--max-messages", "0"],
+                                   ["--max-topics", "0", "--weights", "subscribe=0,unsubscribe=0,join=0,leave=0"]])
 def test_fuzz_that_checks_nothing_is_a_usage_error(flags, capsys):
     # no trace, no step, no peer (every state the empty network, every step a skip),
-    # or weights that leave only skip, with or without churn
+    # weights that leave only skip, with or without churn, or bounds that give
+    # every weighted kind but skip no arguments (no topic or no message)
     assert_usage_error(["fuzz", *flags], capsys)
 
 

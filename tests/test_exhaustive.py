@@ -9,7 +9,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
-from pubsub_refine.core import ContractError
+from pubsub_refine.core import ContractError, enabled
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
     broadcast_successors,
@@ -362,3 +362,57 @@ def test_a_leave_that_allows_pending_is_a_step_and_a_successor(monkeypatch):
     monkeypatch.setattr(fn, "leave", lambda p, s: s.without_peer(p))
     assert fn.is_leave_step(s, u) and fn.is_step(s, u)
     assert ("leave", u) in flood_successors(s, *universe_pools(1, 1, 1))
+
+
+def _offers(model, s, peer_pool, topic_pool, msg_pool):
+    """(kind, transition, arguments) for every argument of wider pools than the enumerators offer.
+
+    Every transition is offered each pool peer plus one absent id, every
+    message, every topic subset and every neighbour or receiver subset of
+    those peers; a joining peer stays in the pool, so its successor stays
+    in the universe.
+    """
+    peers = (*peer_pool, len(peer_pool))
+    topic_sets = list(exhaustive._subsets(topic_pool))
+    peer_sets = list(exhaustive._subsets(peers))
+    yield "skip", lambda s: s, (s,)
+    for m in msg_pool:
+        if model is fn:
+            yield "produce", fn.produce, (m, s)
+            for p in peers:
+                yield "forward", fn.forward, (p, m, s)
+        else:
+            yield "broadcast", bn.broadcast, (m, s)
+            for receivers in peer_sets:
+                yield "broadcast-partial", bn.broadcast_partial, (m, receivers, s)
+    for p in peers:
+        for topics in topic_sets:
+            yield "subscribe", model.subscribe, (p, topics, s)
+            yield "unsubscribe", model.unsubscribe, (p, topics, s)
+        yield "leave", model.leave, (p, s)
+    for p, pubs, subs in itertools.product(peer_pool, topic_sets, topic_sets):
+        if model is fn:
+            for nbrs in peer_sets:
+                yield "join", fn.join, (p, pubs, subs, nbrs, s)
+        else:
+            yield "join", bn.join, (p, pubs, subs, s)
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 1)], ids=["1-1-2", "2-1-1"])
+@pytest.mark.parametrize("model, states, successors", [
+    (fn, enumerate_flood_states, flood_successors),
+    (bn, enumerate_broadcast_states, broadcast_successors),
+], ids=["flood", "broadcast"])
+def test_guards_enumerators_and_relations_agree(model, states, successors, bounds):
+    # the guards say which steps exist: every state a guard accepts is a step
+    # of the relation (of its own kind, or a skip when it equals s), and the
+    # enumerator yields exactly what the guards accept from the wider pools
+    pools = universe_pools(*bounds)
+    for s in states(*bounds):
+        accepted = set()
+        for kind, transition, args in _offers(model, s, *pools):
+            u = enabled(transition, *args)
+            if u is not None:
+                assert model._STEP_TESTS["skip" if u == s else kind](s, u), (kind, args)
+                accepted.add((kind, u))
+        assert accepted == set(successors(s, *pools)), s

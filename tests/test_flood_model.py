@@ -1,6 +1,6 @@
 import pytest
 
-from pubsub_refine.core import ContractError, Message, insert_unique, join_witness, ordered_set, topics_witness
+from pubsub_refine.core import ContractError, Message, enabled, insert_unique, join_witness, ordered_set, topics_witness
 from pubsub_refine.flood_model import (
     FloodPeer,
     FloodState,
@@ -136,8 +136,11 @@ def test_forward_pending_monotonicity():
         s = gen_good_state(cfg, rng)
         for p, pst in s.entries:
             for m in pst.pending:
+                u = enabled(forward, p, m, s)
+                if u is None:  # p holds m but is not its designated forwarder
+                    continue
                 before = set(pending_messages(s))
-                after = set(pending_messages(forward(p, m, s)))
+                after = set(pending_messages(u))
                 assert after in (before, before - {m})
                 checked += 1
     assert checked > 200
@@ -386,9 +389,19 @@ def test_forward_witness_message_pending_at_two_peers():
     )
     assert find_forwarder(s, M) == 1
     assert_only_kind("forward", s, forward(1, M, s))
-    # only the designated (lowest-key) forwarder may forward it
-    assert not is_step(s, forward(2, M, s))
-    assert step_kinds(s, forward(2, M, s)) == ()
+    # only the designated (lowest-key) forwarder may forward it: the guard
+    # refuses peer 2, and the relation rejects the state its forward would give
+    with pytest.raises(ContractError, match="designated forwarder"):
+        forward(2, M, s)
+    by_two = state(
+        **{
+            "1": peer(nsubs={"t1": (3,)}, pending=[M]),
+            "2": peer(nsubs={"t1": (3,)}, seen=[M]),
+            "3": peer(subs=["t1"], pending=[M]),
+        }
+    )
+    assert not is_step(s, by_two)
+    assert step_kinds(s, by_two) == ()
 
 
 def test_produce_witness_origin_not_first_peer():

@@ -120,6 +120,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         # static mode zeroes the only weighted kind
         GeneratorConfig(weights={"join": 1.0}, static=True)
+    with pytest.raises(ValueError, match="other than skip"):
+        # without a message to draw, produce and forward fall back to skip
+        GeneratorConfig(max_messages=0, weights={"produce": 1.0, "forward": 1.0})
+    GeneratorConfig(max_messages=0, weights={"forward": 1.0, "subscribe": 1.0})  # subscribe needs only a topic
 
 
 def test_produce_candidates_keep_every_new_message_in_order():
