@@ -9,7 +9,8 @@ step relation). check_step is the one place a StepRecord is built: fuzzed
 and replayed steps, a non-good fuzz start state (as the step s -> s) and
 the planted faults all go through it. Every checked step enters a report
 through CheckReport.add, which makes the first unsound or failed step the
-counterexample, with the full state dumps. An unsound step is a
+counterexample, with the full state dumps, and then keeps the step only as
+the canonical JSON text the report writes for it. An unsound step is a
 counterexample whether the trace was generated or replayed: replay input
 cannot make a step unsound (scenario states must be good and events
 enabled), so one comes from the model.
@@ -63,19 +64,21 @@ class CheckReport:
     The report format keeps an "errors" list and its total; both are always
     empty, because an unsound step is a counterexample like a failed one.
     The totals are counted as each step is added, so reading them walks
-    nothing.
+    nothing. Each step is held as its canonical JSON text, encoded once as
+    it is added, so a run keeps its report's bytes rather than a record
+    and a WFS3 witness state per step.
     """
 
     config: dict = field(default_factory=dict)
-    steps: list[StepRecord] = field(default_factory=list, init=False)
+    steps: list[str] = field(default_factory=list, init=False)
     counterexample: dict | None = None
     elapsed_seconds: float = 0.0
     totals: dict = field(init=False, default_factory=lambda: dict.fromkeys(
         ("steps", "checks", "passed", "failed", "unsound_steps", "not_applicable", "errors"), 0))
 
     def add(self, rec: StepRecord, s: fn.FloodState, u: fn.FloodState):
-        """Append a checked step and count it; dump the first unsound or failed one as the counterexample."""
-        self.steps.append(rec)
+        """Append a checked step's JSON text and count it; dump the first unsound or failed one as the counterexample."""
+        self.steps.append(canonical_json(rec.to_obj()))
         failed = len(rec.failures)
         skipped = sum(not v.applicable for v in rec.verdicts)
         t = self.totals
@@ -99,16 +102,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return self.counterexample is None
-
-    def to_obj(self) -> dict:
-        return {
-            "config": self.config,
-            "totals": dict(self.totals),
-            "steps": [r.to_obj() for r in self.steps],
-            "errors": [],
-            "counterexample": self.counterexample,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
 
 
 def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> StepRecord:
@@ -140,9 +133,24 @@ def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> Ste
     )
 
 
-def emit_report(report) -> str:
-    """A report's to_obj as canonical JSON on one line, with one final newline; every command writes its report so."""
-    return canonical_json(report.to_obj()) + "\n"
+def emit_report(report, out):
+    """Write a report to the text stream out as canonical JSON on one line, with one final newline.
+
+    Every command writes its report so. A CheckReport goes out in pieces
+    that sort as its keys do: the keys before "steps", encoded together,
+    then the step texts it holds, then the totals, so the whole report is
+    never built as one object or one string. Any other report is encoded
+    whole from its to_obj.
+    """
+    if not isinstance(report, CheckReport):
+        out.write(canonical_json(report.to_obj()) + "\n")
+        return
+    head = canonical_json({"config": report.config, "counterexample": report.counterexample,
+                           "elapsed_seconds": report.elapsed_seconds, "errors": []})
+    out.write(head[:-1] + ',"steps":[')  # head without its closing brace
+    for i, text in enumerate(report.steps):
+        out.write("," + text if i else text)
+    out.write('],"totals":' + canonical_json(report.totals) + "}\n")
 
 
 def check_trace_refinement(states, kinds, config: dict | None = None) -> CheckReport:

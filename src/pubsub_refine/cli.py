@@ -56,12 +56,11 @@ def _unwritable(path: str) -> str | None:
 
 
 def _write_report(report, path: str | None):
-    text = emit_report(report)
     if path:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            emit_report(report, f)
     else:
-        sys.stdout.write(text)
+        emit_report(report, sys.stdout)
 
 
 def _summarize(report) -> str:

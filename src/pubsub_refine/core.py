@@ -237,7 +237,14 @@ def join_witness(s: PeerMap[V], u: PeerMap[V]) -> tuple[PeerId, V] | None:
     return eu[i]
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    """Sorted keys and no whitespace: the one encoding of every digest and every report."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys and no whitespace: the one encoding of every digest and every report.
+
+    One encoder serves every call; json.dumps would build a new one for
+    these arguments each time, which a checked step's text would pay.
+    """
+    return _CANONICAL.encode(obj)
 

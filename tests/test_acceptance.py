@@ -78,14 +78,15 @@ def test_acceptance_3_golden_trace():
     report = check_trace_refinement(states, kinds=[ev.kind for ev in events])
     m = Message.from_obj(golden["message"])
     final = refinement_map(states[-1])
-    matches = [{"kind": rec.kind, "bn_match": rec.bn_match} for rec in report.steps]
+    steps = [json.loads(text) for text in report.steps]
+    matches = [{"kind": step["kind"], "bn_match": step["bn_match"]} for step in steps]
     ok = (
         report.ok
         and [st.to_obj() for st in states] == golden["states"]
         and [refinement_map(st).to_obj() for st in states] == golden["mapped_states"]
         and [state_digest(st) for st in states] == golden["digests"]
         and matches == golden["matches"]
-        and [rec.bn_match for rec in report.steps]
+        and [step["bn_match"] for step in steps]
         == ["skip", "skip", "leave", "unsubscribe", "unsubscribe", "broadcast-partial"]
         and list(bn.message_receivers(m, final)) == golden["final_receivers"]
         and bn.broadcast_partial(m, bn.message_receivers(m, final), refinement_map(states[-2])) == final

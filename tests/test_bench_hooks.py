@@ -13,6 +13,7 @@ forward's guard must accept.
 """
 
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -86,7 +87,9 @@ def test_benchmark_enumerate_counts_match_the_oracle(bench_run):
 def test_a_passing_report_passes_the_benchmark_judge(bench_run):
     # the judge gates on the report's totals, so a format change must keep them
     s = fn.FloodState(((1, fn.FloodPeer()),))
-    report = json.loads(emit_report(check_trace_refinement([s, s], kinds=["skip"])))
+    out = io.StringIO()
+    emit_report(check_trace_refinement([s, s], kinds=["skip"]), out)
+    report = json.loads(out.getvalue())
     verdict = bench_run.judge_check_report(1)(report)
     assert verdict.problems == [] and verdict.failed == 0
     assert (verdict.checks, verdict.pairs) == (1, 1)

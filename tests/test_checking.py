@@ -1,3 +1,5 @@
+import io
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -6,7 +8,7 @@ import pytest
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
 from pubsub_refine import runner, trace
-from pubsub_refine.checking import CheckReport, check_step, check_trace_refinement
+from pubsub_refine.checking import CheckReport, check_step, check_trace_refinement, emit_report
 from pubsub_refine.core import Message
 from pubsub_refine.generate import GeneratorConfig
 from pubsub_refine.refinement import refinement_map
@@ -20,11 +22,21 @@ def flood(entries):
     return fn.FloodState(tuple(entries))
 
 
+def parsed_steps(report) -> list[dict]:
+    return [json.loads(text) for text in report.steps]
+
+
+def emitted(report) -> dict:
+    out = io.StringIO()
+    emit_report(report, out)
+    return json.loads(out.getvalue())
+
+
 def test_all_skip_trace():
     s = flood([(1, fn.FloodPeer(subs=("t1",)))])
     report = check_trace_refinement([s, s, s], kinds=["skip", "skip"])
     assert report.ok
-    assert [rec.bn_match for rec in report.steps] == ["skip", "skip"]
+    assert [step["bn_match"] for step in parsed_steps(report)] == ["skip", "skip"]
     assert report.totals["checks"] == 6
     assert report.totals["failed"] == 0
 
@@ -74,22 +86,22 @@ def test_a_forward_that_forgets_a_committed_message_fails_wfs3(monkeypatch):
     u = fn.forward(1, x, s)
     report = CheckReport()
     report.add(check_step(0, s, u, "forward"), s, u)
-    rec = report.steps[0]
-    assert rec.sound and rec.flood_matches == ("forward",)
-    assert [v.obligation for v in rec.failures] == ["WFS3"]
+    (step,) = parsed_steps(report)
+    assert step["sound"] and step["flood_matches"] == ["forward"]
+    assert [c["obligation"] for c in step["checks"] if c["status"] == "fail"] == ["WFS3"]
     assert not report.ok
     assert report.counterexample["reasons"][0].startswith("WFS3: w does not step to v")
     assert report.counterexample["v"] == refinement_map(u).to_obj()
 
 
 def assert_unsound_counterexample(report, reason):
-    rec = report.steps[0]
-    assert not rec.sound and any(reason in issue for issue in rec.soundness_issues)
+    step = parsed_steps(report)[0]
+    assert not step["sound"] and any(reason in issue for issue in step["soundness_issues"])
     assert not report.ok
     assert report.counterexample["step"] == 0
-    assert report.counterexample["reasons"] == list(rec.soundness_issues)
+    assert report.counterexample["reasons"] == step["soundness_issues"]
     assert report.totals["failed"] == 0 and report.totals["unsound_steps"] == 1
-    assert report.totals["errors"] == 0 and report.to_obj()["errors"] == []
+    assert report.totals["errors"] == 0 and emitted(report)["errors"] == []
 
 
 def test_non_good_state_is_a_counterexample_not_an_error():
@@ -110,7 +122,7 @@ def test_only_the_first_offending_step_is_dumped():
     good = flood([(1, fn.FloodPeer())])
     bad = flood([(1, fn.FloodPeer(nsubs=(("t1", (1,)),)))])
     report = check_trace_refinement([good, bad, bad, good], kinds=["skip"] * 3)
-    assert [rec.sound for rec in report.steps] == [False, False, False]
+    assert [step["sound"] for step in parsed_steps(report)] == [False, False, False]
     assert report.counterexample["step"] == 0 and report.counterexample["u"] == bad.to_obj()
 
 
@@ -125,7 +137,7 @@ def test_fuzz_report_shape_and_determinism():
     a = fuzz_run(cfg, traces=3)
     b = fuzz_run(cfg, traces=3)
     assert a.ok and b.ok
-    oa, ob = a.to_obj(), b.to_obj()
+    oa, ob = emitted(a), emitted(b)
     oa.pop("elapsed_seconds"), ob.pop("elapsed_seconds")
     assert oa == ob
     assert oa["config"]["seed"] == 12
@@ -213,8 +225,9 @@ def test_fuzz_numbers_every_step_once_after_a_non_good_start_state(monkeypatch):
 
     monkeypatch.setattr(runner, "gen_good_state", self_tracking_first)
     report = fuzz_run(GeneratorConfig(seed=1, steps=5), traces=3)
-    assert report.steps[0].kind == "init" and not report.ok
-    assert [rec.index for rec in report.steps] == list(range(1 + 2 * 5))
+    steps = parsed_steps(report)
+    assert steps[0]["kind"] == "init" and not report.ok
+    assert [step["index"] for step in steps] == list(range(1 + 2 * 5))
 
 
 def test_fuzz_refuses_a_disabled_generated_event(monkeypatch):

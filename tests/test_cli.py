@@ -13,6 +13,7 @@ from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
 from pubsub_refine.core import ContractError, canonical_json
 from pubsub_refine.exhaustive import enumerate_flood_states
+from pubsub_refine.faults import FAULTS
 from pubsub_refine.generate import GeneratorConfig
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
@@ -100,10 +101,10 @@ def test_a_generated_start_state_that_is_not_good_is_a_counterexample(monkeypatc
         "pre-state violates good-state invariants at peers (1,)",
         "post-state violates good-state invariants at peers (1,)",
     ]
-    rec = report.steps[0]
-    assert rec.kind == "init" and not rec.sound
-    assert [v.obligation for v in rec.verdicts] == ["WFS1", "WFS2", "WFS3"]
-    assert not any(v.applicable for v in rec.verdicts)
+    step = json.loads(report.steps[0])
+    assert step["kind"] == "init" and not step["sound"]
+    assert [c["obligation"] for c in step["checks"]] == ["WFS1", "WFS2", "WFS3"]
+    assert all(c["status"] == "not-applicable" for c in step["checks"])
     assert main(["fuzz", "--traces", "1", "--steps", "1"]) == 1
     assert capsys.readouterr().err.startswith("FAIL: 1 steps")
 
@@ -123,7 +124,9 @@ def test_run_rejects_bad_input(tmp_path):
 
 
 def test_run_refuses_a_scenario_without_events(tmp_path, capsys):
-    for document in ({"state": {"peers": {"1": {}}}, "events": []}, {"state": {"peers": {"1": {}}}}):
+    # a scenario of skips alone leaves every state as it was: it checks nothing either
+    for document in ({"state": {"peers": {"1": {}}}, "events": []}, {"state": {"peers": {"1": {}}}},
+                     {"state": {"peers": {}}, "events": [{"index": 0, "kind": "skip"}]}):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps(document))
         assert_usage_error(["run", str(empty)], capsys)
@@ -309,19 +312,26 @@ def test_the_collector_is_back_on_after_an_internal_error(monkeypatch, capsys):
 
 ENUMERATE_111 = ["enumerate", "--peers", "1", "--topics", "1", "--messages", "1"]
 
+REPORTED = {  # name -> (arguments, exit code) of each command that takes --report
+    "fuzz": (["fuzz", "--traces", "3", "--steps", "4", "--max-peers", "3", "--seed", "5"], 0),
+    "fuzz-static": (["fuzz", "--static", "--traces", "3", "--steps", "4", "--seed", "7"], 0),
+    "run": (["run", str(FIGURE1)], 0),
+    **{f"mutate-{fault}": (["mutate", "--fault", fault], int(fault != "none")) for fault in FAULTS},
+}
+WRITTEN = [  # each to stdout, and each that takes --report to a file as well
+    *[pytest.param(argv, code, to_file, id=f"{name}-report" if to_file else name)
+      for name, (argv, code) in REPORTED.items() for to_file in (False, True)],
+    pytest.param(ENUMERATE_111, 0, False, id="enumerate"),
+]
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["fuzz", "--traces", "3", "--steps", "4", "--max-peers", "3", "--seed", "5"], 0),
-    (["run", str(FIGURE1)], 0),
-    (["mutate", "--fault", "drop-receiver"], 1),
-    (["mutate", "--fault", "none"], 0),
-    (ENUMERATE_111, 0),
-], ids=["fuzz", "run", "mutate-drop-receiver", "mutate-none", "enumerate"])
-def test_every_report_is_written_as_canonical_json_on_one_line(argv, code, capsys):
-    # the encoding of the digests: sorted keys, no whitespace, one final newline
-    assert main(argv) == code
-    text = capsys.readouterr().out
+@pytest.mark.parametrize("argv, code, to_file", WRITTEN)
+def test_every_report_is_written_as_canonical_json_on_one_line(argv, code, to_file, tmp_path, capsys):
+    # the encoding of the digests: sorted keys, no whitespace, one final newline,
+    # the same bytes whether the report goes to a file or to stdout
+    path = tmp_path / "report.json"
+    assert main(argv + ["--report", str(path)] if to_file else argv) == code
+    text = path.read_bytes().decode("utf-8") if to_file else capsys.readouterr().out
     assert text == canonical_json(json.loads(text)) + "\n"
 
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pubsub_refine.faults import FAULTS, run_fault
@@ -25,8 +27,8 @@ def test_injected_faults_are_caught(fault):
     # the dump carries the offending states
     assert "s" in report.counterexample and "u" in report.counterexample
     # the planted step went through check_step, which records every obligation
-    (rec,) = report.steps
-    assert [v.obligation for v in rec.verdicts] == ["WFS1", "WFS2", "WFS3"]
+    (text,) = report.steps
+    assert [c["obligation"] for c in json.loads(text)["checks"]] == ["WFS1", "WFS2", "WFS3"]
 
 
 def test_control_run_is_clean():

@@ -8,6 +8,7 @@ and close with a partial broadcast to the only peer that processed the
 message.
 """
 
+import json
 from importlib import resources
 
 from pubsub_refine import broadcast_model as bn
@@ -77,7 +78,7 @@ def test_match_sequence_and_final_receivers():
     states = run_trace(s0, events)
     report = check_trace_refinement(states, kinds=[ev.kind for ev in events])
     assert report.ok
-    assert [rec.bn_match for rec in report.steps] == [
+    assert [json.loads(text)["bn_match"] for text in report.steps] == [
         "skip", "skip", "leave", "unsubscribe", "unsubscribe", "broadcast-partial",
     ]
     final = refinement_map(states[-1])
