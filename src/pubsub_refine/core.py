@@ -6,13 +6,16 @@ representation, set and map equality reduce to plain sequence equality,
 which the witness functions and the refinement checkers rely on. Both
 models' states are a PeerMap, and every witness function walks two of them
 with first_difference; the subscription and membership witnesses,
-topics_witness and join_witness, serve both models.
+topics_witness and join_witness, serve both models. in_workers is the one
+fork-and-merge helper of both oracles: the all-pairs rows and the fuzz
+traces are each split over the usable CPUs with it.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Generic, Iterable, NamedTuple, Sequence, TypeVar
@@ -248,3 +251,43 @@ def canonical_json(obj) -> str:
     """
     return _CANONICAL.encode(obj)
 
+
+def in_workers(rows: int, work) -> list:
+    """work(lo, hi) on one contiguous slice of range(rows) per usable CPU, all but the first forked; in order.
+
+    Each forked child sends its result as JSON over a pipe, so work must
+    return what json encodes; the calling process keeps its own slice's
+    result as it is. A child that fails, or sends nothing, is an internal
+    error, and no child outlives the call.
+    """
+    n = min(rows, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
+    slices = [(k * rows // n, (k + 1) * rows // n) for k in range(n)]
+    running = {}  # pid -> the read end of its pipe
+    try:
+        for lo, hi in slices[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves through os._exit alone: it unwinds no caller and flushes no stdio
+                try:
+                    with open(w, "w", encoding="utf-8") as pipe:
+                        json.dump(work(lo, hi), pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            running[pid] = open(r, encoding="utf-8")
+        results = [work(*slices[0])]
+        for (lo, hi), pid in zip(slices[1:], list(running)):
+            with running[pid] as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if code != 0 or not payload:  # exit 0 comes only after the whole payload is written
+                raise RuntimeError(f"worker for rows {lo}..{hi - 1} failed: status {code}, {len(payload)} bytes sent")
+            results.append(json.loads(payload))
+        return results
+    finally:  # children still running here only if something raised; none outlives the call
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL, named without loading the signal module into every start-up
+            os.waitpid(pid, 0)

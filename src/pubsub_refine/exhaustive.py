@@ -35,14 +35,12 @@ of silently grinding.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import Message, enabled
+from .core import Message, enabled, in_workers
 from .refinement import check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -228,41 +226,6 @@ def _successor_ids(report: ExhaustiveReport, index: dict, s, succs) -> set[int]:
     return ids
 
 
-def _in_workers(rows: int, work) -> list:
-    """work(lo, hi) on one contiguous slice of range(rows) per usable CPU, all but the first forked; in order."""
-    n = min(rows, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
-    slices = [(k * rows // n, (k + 1) * rows // n) for k in range(n)]
-    running = {}  # pid -> the read end of its pipe
-    try:
-        for lo, hi in slices[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child leaves through os._exit alone: it unwinds no caller and flushes no stdio
-                try:
-                    with open(w, "w", encoding="utf-8") as pipe:
-                        json.dump(work(lo, hi), pipe)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            running[pid] = open(r, encoding="utf-8")
-        results = [work(*slices[0])]
-        for (lo, hi), pid in zip(slices[1:], list(running)):
-            with running[pid] as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[pid]
-            if code != 0 or not payload:  # exit 0 comes only after the whole payload is written
-                raise RuntimeError(f"worker for rows {lo}..{hi - 1} failed: status {code}, {len(payload)} bytes sent")
-            results.append(json.loads(payload))
-        return results
-    finally:  # children still running here only if something raised; none outlives the call
-        for pid, pipe in running.items():
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL, named without loading the signal module into every start-up
-            os.waitpid(pid, 0)
-
-
 def _check_agreement(report: ExhaustiveReport, check: str, states: list, succ_ids: list, is_step) -> int:
     """Decide is_step on every pair of the universe against the successor sets; the pairs decided."""
     def rows(lo, hi):  # [count, kept dumps] of rows lo..hi-1, as note keeps them
@@ -274,7 +237,7 @@ def _check_agreement(report: ExhaustiveReport, check: str, states: list, succ_id
                     part.note(check, s, u, relation=related, enumerated=not related)
         return [part.discrepancy_counts.get(check, 0), part.discrepancies]
 
-    for count, kept in _in_workers(len(states), rows):  # merged in row order
+    for count, kept in in_workers(len(states), rows):  # merged in row order
         if count:
             report.discrepancy_counts[check] = report.discrepancy_counts.get(check, 0) + count
         report.discrepancies.extend(kept[:KEPT_DISCREPANCIES - len(report.discrepancies)])

@@ -1,8 +1,9 @@
 """Seeded random generation of good flood states and enabled transitions.
 
-Everything is driven by a single random.Random stream, and every pool is a
-sorted tuple before sampling, so identical (config, seed) pairs reproduce
-identical runs byte for byte. Generation samples a transition kind by
+Everything is driven by the random.Random stream the caller passes (fuzz
+gives each trace its own), and every pool is a sorted tuple before
+sampling, so identical (config, seed) pairs reproduce identical runs byte
+for byte. Generation samples a transition kind by
 weight first and only then looks for arguments; a kind with no enabled
 arguments falls back to a skip, which is always enabled.
 """

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -197,6 +199,8 @@ def test_check_step_decides_each_state_good_once(monkeypatch):
 
 
 def test_fuzz_applies_each_event_once_and_digests_nothing(monkeypatch):
+    # one CPU: a forked worker's calls are never counted in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = Counter()
 
     def counting(name, f):
@@ -228,6 +232,86 @@ def test_fuzz_numbers_every_step_once_after_a_non_good_start_state(monkeypatch):
     steps = parsed_steps(report)
     assert steps[0]["kind"] == "init" and not report.ok
     assert [step["index"] for step in steps] == list(range(1 + 2 * 5))
+
+
+@pytest.mark.parametrize("cfg, traces", [
+    (GeneratorConfig(seed=1, steps=5), 0),
+    (GeneratorConfig(seed=1, steps=0), 3),
+    (GeneratorConfig(max_peers=0, steps=5), 3),
+], ids=["no-trace", "no-step", "no-peer"])
+def test_a_fuzz_run_that_checks_nothing_is_refused_before_it_forks(cfg, traces, monkeypatch):
+    # without a peer every state is the empty network and every step a skip
+    def no_fork():
+        raise AssertionError("forked a worker for a run that checks nothing")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(ValueError, match="at least one trace, one step and one peer"):
+        fuzz_run(cfg, traces=traces)
+
+
+@pytest.mark.parametrize("seed, forgetful", [(2, False), (2, True), (40, True)],
+                         ids=["passing", "first-offence-in-the-callers-slice", "first-offence-in-a-workers-slice"])
+def test_splitting_the_traces_over_workers_leaves_the_report_as_it_is(monkeypatch, seed, forgetful):
+    # one CPU checks every trace in this process; with two or three, the
+    # forked workers' steps, totals and counterexamples are merged back in
+    # trace order, and the first offending step is the counterexample
+    if forgetful:  # the forward of the WFS3 test above, forgetting every message the forwarder has seen
+        real = fn.forward
+
+        def forgetful_forward(p, m, s):
+            u = real(p, m, s)
+            return u.with_peer(p, replace(u.get(p), seen=()))
+
+        monkeypatch.setattr(fn, "forward", forgetful_forward)
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    texts = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        forks.clear()
+        report = fuzz_run(GeneratorConfig(max_peers=4, max_topics=2, max_messages=3, steps=8, seed=seed), traces=6)
+        assert len(forks) == cpus - 1
+        assert report.totals["steps"] == 48 and report.ok != forgetful
+        offending = [step["index"] for step in parsed_steps(report)
+                     if not step["sound"] or any(c["status"] == "fail" for c in step["checks"])]
+        if forgetful:
+            # offences fall in two or more of the three CPUs' slices of 16 steps
+            assert len({i // 16 for i in offending}) >= 2
+            assert report.counterexample["step"] == offending[0]
+        out = io.StringIO()
+        emit_report(report, out)
+        texts.add(out.getvalue())
+    assert len(texts) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_every_slice_numbers_its_steps_after_non_good_start_states(cpus, monkeypatch):
+    # traces 0 and 2 of 4 start in a non-good state, which takes one index;
+    # a worker regenerates the earlier traces' start states to number its first step
+    cfg = GeneratorConfig(seed=1, steps=5)
+    gen_good_state = runner.gen_good_state
+    broken = {gen_good_state(cfg, random.Random(f"1:{t}")) for t in (0, 2)}
+    self_tracking = flood([(1, fn.FloodPeer(nsubs=(("t1", (1,)),)))])
+
+    def breaking(cfg, rng):
+        s = gen_good_state(cfg, rng)
+        return self_tracking if s in broken else s
+
+    monkeypatch.setattr(runner, "gen_good_state", breaking)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    steps = parsed_steps(fuzz_run(cfg, traces=4))
+    assert [step["index"] for step in steps] == list(range(1 + 5 + 1 + 5))
+    assert [step["index"] for step in steps if step["kind"] == "init"] == [0, 6]
 
 
 def test_fuzz_refuses_a_disabled_generated_event(monkeypatch):

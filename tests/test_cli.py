@@ -373,6 +373,40 @@ def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_proces
     assert_no_child_process()
 
 
+FUZZ_4X3 = ["fuzz", "--traces", "4", "--steps", "3", "--seed", "5"]
+FUZZ_WORKER_FAILED = "internal error: RuntimeError: worker for rows 2..3 failed: status 1, 0 bytes sent\n"
+
+
+@pytest.mark.parametrize("index, error, message", [
+    (9, RuntimeError, FUZZ_WORKER_FAILED),
+    (0, RuntimeError, "internal error: RuntimeError: planted\n"),
+    (9, ValueError, FUZZ_WORKER_FAILED),
+    (0, ValueError, "internal error: ValueError: planted\n"),
+    (9, ContractError, FUZZ_WORKER_FAILED),
+    (0, ContractError, "internal error: ContractError: planted\n"),
+], ids=["in-a-worker", "in-the-parent", "value-error-in-a-worker", "value-error-in-the-parent",
+        "contract-error-in-a-worker", "contract-error-in-the-parent"])
+def test_a_crash_in_the_fuzz_traces_is_an_internal_error_and_leaves_no_process(index, error, message, monkeypatch,
+                                                                                capsys):
+    # two usable CPUs: traces 0 and 1 (steps 0..5) are checked here, traces 2
+    # and 3 (steps 6..11) in a forked worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(FUZZ_4X3) == 0
+    assert capsys.readouterr().err == "PASS: 12 steps, 36 checks, 0 failed, 0 unsound\n"
+    assert_no_child_process()
+    crash_at, real = index, runner.gen_enabled_transition
+
+    def crashing(s, cfg, rng, index):
+        if index == crash_at:
+            raise error("planted")
+        return real(s, cfg, rng, index=index)
+
+    monkeypatch.setattr(runner, "gen_enabled_transition", crashing)
+    assert main(FUZZ_4X3) == 3
+    assert capsys.readouterr().err == message
+    assert_no_child_process()
+
+
 def test_the_cli_starts_without_loading_a_process_pool():
     # set-up time is a benchmark metric: the row split forks by hand instead
     code = "import sys, pubsub_refine.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"

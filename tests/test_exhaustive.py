@@ -9,7 +9,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
-from pubsub_refine.core import ContractError, enabled
+from pubsub_refine.core import ContractError, enabled, in_workers
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
     broadcast_successors,
@@ -132,8 +132,8 @@ def test_only_the_first_discrepancies_are_kept(monkeypatch):
 
 def test_rows_are_cut_into_one_contiguous_slice_per_usable_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert exhaustive._in_workers(7, lambda lo, hi: [lo, hi]) == [[0, 2], [2, 4], [4, 7]]
-    assert exhaustive._in_workers(2, lambda lo, hi: [lo, hi]) == [[0, 1], [1, 2]]  # never more workers than rows
+    assert in_workers(7, lambda lo, hi: [lo, hi]) == [[0, 2], [2, 4], [4, 7]]
+    assert in_workers(2, lambda lo, hi: [lo, hi]) == [[0, 1], [1, 2]]  # never more workers than rows
 
 
 @pytest.mark.parametrize("model, is_step, bounds, counts", [

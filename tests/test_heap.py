@@ -10,6 +10,7 @@ replay of the transition just applied.
 
 import gc
 import json
+import os
 import types
 from collections import Counter
 from importlib import resources
@@ -83,7 +84,9 @@ def test_a_fuzz_report_holds_its_steps_as_text_and_no_state():
     assert {t: held[t] for t in (fn.FloodState, bn.BroadcastState, StepRecord, WfsVerdict) if held[t]} == {}
 
 
-def test_every_cache_is_bounded_and_keeps_the_replay_hit():
+def test_every_cache_is_bounded_and_keeps_the_replay_hit(monkeypatch):
+    # one CPU: a forked worker's cache hits never reach this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     for cache in CACHES:
         cache.cache_clear()
     kinds = Counter(json.loads(text)["kind"] for text in _fuzz(50, seed=101).steps)

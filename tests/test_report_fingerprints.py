@@ -24,8 +24,8 @@ FUZZ = ["fuzz", "--traces", "40", "--steps", "12", "--max-peers", "6",
 STATIC = ["fuzz", "--static", "--traces", "40", "--steps", "12", "--seed", "7"]
 
 REPORTS = {  # name -> (arguments, exit code, fingerprint)
-    "fuzz": (FUZZ, 0, "9842ce21c925136ece585259566c5101f0d2f47354b27e3ff94a0d6dc4e0557c"),
-    "fuzz-static": (STATIC, 0, "38f0d8299827e4121a9cfe7e5219ce6a3b8b4ccd38050431a709cd4ae0685235"),
+    "fuzz": (FUZZ, 0, "23f8c871659174051782af756c3f0ba1cac4e47edecd1f7792c0b080838c9a3f"),
+    "fuzz-static": (STATIC, 0, "38cfb873a64aac0163f9f351aea5c692939f675e62ebeca4b1c78364327e874e"),
     "run-figure1": (["run", str(FIGURE1)], 0,
                     "84bb22c03f0be6b6e94e11bfa9d13e20068f1d5a74d2c6a82a9e661b2d66d1fc"),
 }
@@ -36,7 +36,7 @@ MUTATIONS = {  # fault -> fingerprint; every planted fault exits 1, "none" exits
     "leave-with-pending": "8dc3ca77d3be7be604f8b781952a2acaf431e6c51108bad228faf26914e5991e",
     "duplicate-seen": "eb65da77606610fba453e883f126779d6795aff2b34d9209e5a286c992887469",
     "unsorted-seen": "6adca1be1c325d27535ee01e4b5fe40a74c24591d820bc4f347c3e3b7ccd539a",
-    "none": "e7f75bb1e2d2dddf6fb4d3919817c24e9443a2a70d4b15c60db34092f96454cd",
+    "none": "c3270610bace9d9fc9b7af226647e9b39b1e679ca39c9872f407837c454f0e20",
 }
 for fault, digest in MUTATIONS.items():
     REPORTS[f"mutate-{fault}"] = (["mutate", "--fault", fault], int(fault != "none"), digest)
