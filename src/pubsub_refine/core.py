@@ -8,7 +8,7 @@ models' states are a PeerMap, and every witness function walks two of them
 with first_difference; the subscription and membership witnesses,
 topics_witness and join_witness, serve both models. in_workers is the one
 fork-and-merge helper of both oracles: the all-pairs rows and the fuzz
-traces are each split over the usable CPUs with it.
+traces are each handed out in chunks to the usable CPUs with it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ V = TypeVar("V")
 # about one state and its successors, so nothing older is read again, and
 # every kept state is heap the interpreter must later free.
 CACHE_SIZE = 256
+
+# Chunks each in_workers call cuts its rows into, so a process slowed by its
+# host holds the others up by one small chunk at most. A fixed count keeps
+# the chunk bounds, and a failure's text, independent of the CPU count.
+CHUNKS = 32
 
 
 class ContractError(ValueError):
@@ -253,41 +258,71 @@ def canonical_json(obj) -> str:
 
 
 def in_workers(rows: int, work) -> list:
-    """work(lo, hi) on one contiguous slice of range(rows) per usable CPU, all but the first forked; in order.
+    """work(lo, hi) on each of min(rows, CHUNKS) contiguous chunks of range(rows), handed out at run time; in chunk order.
 
-    Each forked child sends its result as JSON over a pipe, so work must
-    return what json encodes; the calling process keeps its own slice's
-    result as it is. A child that fails, or sends nothing, is an internal
-    error, and no child outlives the call.
+    The chunk numbers wait in a pipe, one byte each. The caller and one
+    forked child per further usable CPU each read a byte and run that
+    chunk until the pipe is empty, so a process slowed by its host takes
+    fewer chunks instead of holding the rest up; a one-byte read is never
+    split, so no chunk runs twice. Each child sends its [[chunk, result],
+    ...] as JSON over its own pipe, so work must return what json encodes
+    and reads back unchanged; the caller keeps its own results as they are.
+
+    A chunk whose work raises is recorded where it ran as "rows lo..hi
+    failed: Type: message", and that process takes no further chunk; the
+    caller then raises one RuntimeError for the lowest failing chunk. Every
+    chunk below it left the pipe first and ran, so the text depends neither
+    on the process nor on the CPU count. A child that dies without sending
+    its results is an internal error too, and no child outlives the call.
     """
-    n = min(rows, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1)
-    slices = [(k * rows // n, (k + 1) * rows // n) for k in range(n)]
+    chunks = min(rows, CHUNKS)
+    bounds = [(k * rows // chunks, (k + 1) * rows // chunks) for k in range(chunks)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+
+    def take(queue):  # [[[chunk, result], ...], failure text or None]
+        done = []
+        while chunk := os.read(queue, 1):
+            lo, hi = bounds[chunk[0]]
+            try:
+                done.append([chunk[0], work(lo, hi)])
+            except Exception as e:  # recorded, and raised by the caller whichever process ran it
+                return [done, [chunk[0], f"rows {lo}..{hi - 1} failed: {type(e).__name__}: {e}"]]
+        return [done, None]
+
+    queue, w = os.pipe()
+    os.write(w, bytes(range(chunks)))  # one byte a chunk: CHUNKS stays below 256, and the pipe's buffer holds them all
+    os.close(w)
     running = {}  # pid -> the read end of its pipe
     try:
-        for lo, hi in slices[1:]:
+        for _ in range(min(chunks, cpus) - 1):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child leaves through os._exit alone: it unwinds no caller and flushes no stdio
                 try:
                     with open(w, "w", encoding="utf-8") as pipe:
-                        json.dump(work(lo, hi), pipe)
+                        json.dump(take(queue), pipe)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             running[pid] = open(r, encoding="utf-8")
-        results = [work(*slices[0])]
-        for (lo, hi), pid in zip(slices[1:], list(running)):
+        parts = [take(queue)]
+        for k, pid in enumerate(list(running), 1):
             with running[pid] as pipe:
                 payload = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del running[pid]
             if code != 0 or not payload:  # exit 0 comes only after the whole payload is written
-                raise RuntimeError(f"worker for rows {lo}..{hi - 1} failed: status {code}, {len(payload)} bytes sent")
-            results.append(json.loads(payload))
-        return results
+                raise RuntimeError(f"worker {k} failed: status {code}, {len(payload)} bytes sent")
+            parts.append(json.loads(payload))
     finally:  # children still running here only if something raised; none outlives the call
+        os.close(queue)
         for pid, pipe in running.items():
             pipe.close()
             os.kill(pid, 9)  # SIGKILL, named without loading the signal module into every start-up
             os.waitpid(pid, 0)
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise RuntimeError(min(failures)[1])
+    results = dict(item for done, _ in parts for item in done)
+    return [results[k] for k in range(chunks)]

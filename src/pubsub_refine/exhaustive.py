@@ -19,12 +19,15 @@ transition and keeps what the guard accepts. It cross-checks four things:
 
 Each universe is built from one tuple of per-peer states and interned once:
 a state's position is its id and a successor set is a set of ids, so the
-all-pairs check decides membership by an int lookup. A row (one state
-against the whole universe) reads no other row, so the rows are split into
-one contiguous slice per usable CPU: the calling process decides the first,
-and a forked child each other one, sending its counts and kept dumps over a
-pipe. Merged in row order, they give the report one process writes. A
-failed child is an internal error, never a discrepancy.
+all-pairs check decides membership by an int lookup. A row is one state's
+whole work: its successors and their ids, for a flood state good-state
+preservation and the obligations, then its agreement with the whole
+universe. A row reads no other row, so core.in_workers hands the rows out
+in chunks to the calling process and one forked child per further usable
+CPU, and each sends back its counts and kept dumps. Merged in row order,
+every row's build notes first and then every row's agreement notes, they
+give the report one process deciding the rows in turn writes. A failed
+row or child is an internal error, never a discrepancy.
 
 Every discrepancy is counted per check; the first KEPT_DISCREPANCIES are
 reported with the offending states. The state space grows brutally fast,
@@ -226,21 +229,61 @@ def _successor_ids(report: ExhaustiveReport, index: dict, s, succs) -> set[int]:
     return ids
 
 
-def _check_agreement(report: ExhaustiveReport, check: str, states: list, succ_ids: list, is_step) -> int:
-    """Decide is_step on every pair of the universe against the successor sets; the pairs decided."""
-    def rows(lo, hi):  # [count, kept dumps] of rows lo..hi-1, as note keeps them
-        part = ExhaustiveReport(bounds={})
-        for s, ids in zip(states[lo:hi], succ_ids[lo:hi]):
-            for j, u in enumerate(states):
-                related = is_step(s, u)
-                if related != (j in ids):
-                    part.note(check, s, u, relation=related, enumerated=not related)
-        return [part.discrepancy_counts.get(check, 0), part.discrepancies]
+def _check_flood_successors(report: ExhaustiveReport, s: fn.FloodState, succs) -> None:
+    """Good-state preservation and the three obligations on every step from a good state s."""
+    report.successors_checked += len(succs)
+    if not fn.is_good_state(s):
+        return
+    w = refinement_map(s)
+    per_state = (check_wfs1(s), check_wfs2(s, w))  # both depend on s alone
+    for kind, u in succs:
+        if not fn.is_good_state(u):
+            report.note("good-state-preservation", s, u, kind=kind)
+            continue
+        for verdict in (*per_state, check_wfs3(s, w, u, fn.step_kinds(s, u))):
+            report.obligations_checked += 1
+            if verdict.applicable and not verdict.passed:
+                report.note(verdict.obligation, s, u, kind=kind, diagnostics=verdict.diagnostics)
 
-    for count, kept in in_workers(len(states), rows):  # merged in row order
-        if count:
-            report.discrepancy_counts[check] = report.discrepancy_counts.get(check, 0) + count
-        report.discrepancies.extend(kept[:KEPT_DISCREPANCIES - len(report.discrepancies)])
+
+def _merge(report: ExhaustiveReport, counts: dict, kept: list) -> None:
+    """Add one chunk's discrepancy counts, and as many of its dumps as KEPT_DISCREPANCIES leaves room for."""
+    for check, n in counts.items():
+        report.discrepancy_counts[check] = report.discrepancy_counts.get(check, 0) + n
+    report.discrepancies.extend(kept[:KEPT_DISCREPANCIES - len(report.discrepancies)])
+
+
+def _check_universe(report: ExhaustiveReport, check: str, states: list, successors, model, build=None) -> int:
+    """Each row whole on a worker: s's successors, build(part, s, succs), then model.is_step of s against every state.
+
+    The rows' build notes are merged first and their agreement notes after,
+    each in row order, as one process deciding the rows in turn would have
+    noted them. Returns the pairs decided.
+    """
+    index = {s: i for i, s in enumerate(states)}
+
+    def rows(lo, hi):  # [build counts, dumps, successors, obligations], [agreement counts, dumps]
+        built, agreed = ExhaustiveReport(bounds={}), ExhaustiveReport(bounds={})
+        related = model.is_step  # looked up per chunk, so a relation patched on its module is the one checked
+        for s in states[lo:hi]:
+            succs = successors(s)
+            ids = _successor_ids(built, index, s, succs)
+            if build is not None:
+                build(built, s, succs)
+            for j, u in enumerate(states):
+                r = related(s, u)
+                if r != (j in ids):
+                    agreed.note(check, s, u, relation=r, enumerated=not r)
+        return [[built.discrepancy_counts, built.discrepancies, built.successors_checked, built.obligations_checked],
+                [agreed.discrepancy_counts, agreed.discrepancies]]
+
+    chunks = in_workers(len(states), rows)
+    for (counts, kept, successors_checked, obligations_checked), _ in chunks:  # merged in row order
+        _merge(report, counts, kept)
+        report.successors_checked += successors_checked
+        report.obligations_checked += obligations_checked
+    for _, (counts, kept) in chunks:
+        _merge(report, counts, kept)
     return len(states) ** 2
 
 
@@ -258,42 +301,18 @@ def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> E
             f"yield more flood states than {cap}, above the cap"
         )
     report = ExhaustiveReport(bounds={"peers": peers, "topics": topics, "messages": messages})
-    peer_pool, topic_pool, msg_pool = universe_pools(peers, topics, messages)
-
+    pools = universe_pools(peers, topics, messages)
+    # each function of this module is looked up when it is called, so one patched here is the one run
     flood_states = list(enumerate_flood_states(peers, topics, messages))
     report.flood_states = len(flood_states)
-    index = {s: i for i, s in enumerate(flood_states)}
-    flood_succ: list[set[int]] = []
-    for s in flood_states:
-        succs = flood_successors(s, peer_pool, topic_pool, msg_pool)
-        flood_succ.append(_successor_ids(report, index, s, succs))
-        report.successors_checked += len(succs)
-        if not fn.is_good_state(s):
-            continue
-        w = refinement_map(s)
-        per_state = (check_wfs1(s), check_wfs2(s, w))  # both depend on s alone
-        for kind, u in succs:
-            if not fn.is_good_state(u):
-                report.note("good-state-preservation", s, u, kind=kind)
-                continue
-            for verdict in (*per_state, check_wfs3(s, w, u, fn.step_kinds(s, u))):
-                report.obligations_checked += 1
-                if verdict.applicable and not verdict.passed:
-                    report.note(verdict.obligation, s, u, kind=kind, diagnostics=verdict.diagnostics)
-    # the relations are looked up per run, so a relation patched on its module is the one checked
-    report.flood_pairs_checked = _check_agreement(
-        report, "flood-relation-agreement", flood_states, flood_succ, fn.is_step
+    report.flood_pairs_checked = _check_universe(
+        report, "flood-relation-agreement", flood_states,
+        lambda s: flood_successors(s, *pools), fn, _check_flood_successors,
     )
-
     broadcast_states = list(enumerate_broadcast_states(peers, topics, messages))
     report.broadcast_states = len(broadcast_states)
-    index = {s: i for i, s in enumerate(broadcast_states)}
-    broadcast_succ = [
-        _successor_ids(report, index, s, broadcast_successors(s, peer_pool, topic_pool, msg_pool))
-        for s in broadcast_states
-    ]
-    report.broadcast_pairs_checked = _check_agreement(
-        report, "broadcast-relation-agreement", broadcast_states, broadcast_succ, bn.is_step
+    report.broadcast_pairs_checked = _check_universe(
+        report, "broadcast-relation-agreement", broadcast_states,
+        lambda s: broadcast_successors(s, *pools), bn,
     )
-
     return report

@@ -366,6 +366,11 @@ def _possible_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:
     subscribe/unsubscribe one subs set and tracker nsubs; join/leave the
     key set), so a pair differing anywhere else can never satisfy it.
 
+    A pending set changes only by gaining one message at its front
+    (produce's origin, forward's receivers) or losing one (the forwarder);
+    any other change rules out every kind. Produce needs exactly one gain
+    and no loss, forward exactly one loss; seen is left to the replay.
+
     The pass compares fields, never whole peer states: the generated
     dataclass equality would compare every field a second time. An entry
     holding the very same peer object is skipped, and a pair in which no
@@ -375,7 +380,7 @@ def _possible_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:
     grown = len(eu) - len(es)
     if grown:
         return ("join",) if grown == 1 else ("leave",) if grown == -1 else ()
-    subs_d = nsubs_d = pending_d = seen_d = 0
+    subs_d = nsubs_d = seen_d = gains = losses = 0
     for (p, a), (q, b) in zip(es, eu):
         if a is b and p == q:
             continue
@@ -385,18 +390,24 @@ def _possible_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:
             subs_d += 1
         if a.nsubs != b.nsubs:
             nsubs_d += 1
-        if a.pending != b.pending:
-            pending_d += 1
+        x, y = a.pending, b.pending
+        if x != y:
+            if len(y) == len(x) + 1 and y[1:] == x:
+                gains += 1
+            elif len(x) == len(y) + 1 and x[(i := first_difference(x, y)) + 1:] == y[i:]:
+                losses += 1
+            else:
+                return ()
         if a.seen != b.seen:
             seen_d += 1
-    if not (subs_d or nsubs_d or pending_d or seen_d):
+    if not (subs_d or nsubs_d or gains or losses or seen_d):
         return ("skip",)
     kinds = []
-    if subs_d == 0 and nsubs_d == 0 and seen_d == 0 and pending_d == 1:
+    if subs_d == 0 and nsubs_d == 0 and seen_d == 0 and gains == 1 and losses == 0:
         kinds.append("produce")
-    if subs_d == 0 and nsubs_d == 0 and seen_d <= 1 and pending_d >= 1:
+    if subs_d == 0 and nsubs_d == 0 and seen_d <= 1 and losses == 1:
         kinds.append("forward")
-    if subs_d == 1 and pending_d == 0 and seen_d == 0:
+    if subs_d == 1 and not (gains or losses) and seen_d == 0:
         kinds.append("subscribe")
         kinds.append("unsubscribe")
     return tuple(kinds)

@@ -219,6 +219,8 @@ def test_fuzz_applies_each_event_once_and_digests_nothing(monkeypatch):
 
 
 def test_fuzz_numbers_every_step_once_after_a_non_good_start_state(monkeypatch):
+    # one CPU: the first start state this process generates is broken, and each forked worker would break its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     gen_good_state = runner.gen_good_state
     starts = []
 
@@ -231,7 +233,7 @@ def test_fuzz_numbers_every_step_once_after_a_non_good_start_state(monkeypatch):
     report = fuzz_run(GeneratorConfig(seed=1, steps=5), traces=3)
     steps = parsed_steps(report)
     assert steps[0]["kind"] == "init" and not report.ok
-    assert [step["index"] for step in steps] == list(range(1 + 2 * 5))
+    assert [step["index"] for step in steps] == [0, *range(5, 15)]  # trace t numbers its steps from t * 5
 
 
 @pytest.mark.parametrize("cfg, traces", [
@@ -296,8 +298,8 @@ def test_splitting_the_traces_over_workers_leaves_the_report_as_it_is(monkeypatc
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_every_slice_numbers_its_steps_after_non_good_start_states(cpus, monkeypatch):
-    # traces 0 and 2 of 4 start in a non-good state, which takes one index;
-    # a worker regenerates the earlier traces' start states to number its first step
+    # traces 0 and 2 of 4 start in a non-good state, which takes the first
+    # index of its trace's block of 5; trace t numbers its steps from t * 5
     cfg = GeneratorConfig(seed=1, steps=5)
     gen_good_state = runner.gen_good_state
     broken = {gen_good_state(cfg, random.Random(f"1:{t}")) for t in (0, 2)}
@@ -310,11 +312,27 @@ def test_every_slice_numbers_its_steps_after_non_good_start_states(cpus, monkeyp
     monkeypatch.setattr(runner, "gen_good_state", breaking)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     steps = parsed_steps(fuzz_run(cfg, traces=4))
-    assert [step["index"] for step in steps] == list(range(1 + 5 + 1 + 5))
-    assert [step["index"] for step in steps if step["kind"] == "init"] == [0, 6]
+    assert [step["index"] for step in steps] == [0, *range(5, 10), 10, *range(15, 20)]
+    assert [step["index"] for step in steps if step["kind"] == "init"] == [0, 10]
 
 
 def test_fuzz_refuses_a_disabled_generated_event(monkeypatch):
     monkeypatch.setattr(runner, "gen_enabled_transition", lambda s, cfg, rng, index: TraceEvent(index, "leave", peer=99))
     with pytest.raises(TraceError, match=r"step 0 \(leave\).*not in state"):
         fuzz_run(GeneratorConfig(seed=1, steps=1))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_disabled_event_in_any_trace_is_refused_as_it_is(cpus, monkeypatch):
+    # the first refusal in trace order is raised with its own type and text, whichever process met it
+    real = runner.gen_enabled_transition
+
+    def disabled_from_step_9(s, cfg, rng, index):
+        return TraceEvent(index, "leave", peer=99) if index >= 9 else real(s, cfg, rng, index=index)
+
+    monkeypatch.setattr(runner, "gen_enabled_transition", disabled_from_step_9)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with pytest.raises(TraceError, match=r"^step 9 \(leave\): leave: peer 99 not in state$"):
+        fuzz_run(GeneratorConfig(seed=5, steps=3), traces=5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

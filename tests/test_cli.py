@@ -340,22 +340,25 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-WORKER_FAILED = "internal error: RuntimeError: worker for rows 16..32 failed: status 1, 0 bytes sent\n"
+def failed(rows: str, error: str) -> str:
+    return f"internal error: RuntimeError: rows {rows} failed: {error}: planted\n"
 
 
+# The ids name where a split into one half per CPU once put the row: the
+# chunks are now handed out at run time, and the text is one for every process.
 @pytest.mark.parametrize("row, error, message", [
-    (-1, RuntimeError, WORKER_FAILED),
-    (0, RuntimeError, "internal error: RuntimeError: planted\n"),
-    (-1, ValueError, WORKER_FAILED),
-    (0, ValueError, "internal error: ValueError: planted\n"),
-    (-1, ContractError, WORKER_FAILED),
-    (0, ContractError, "internal error: ContractError: planted\n"),
+    (-1, RuntimeError, failed("31..32", "RuntimeError")),
+    (0, RuntimeError, failed("0..0", "RuntimeError")),
+    (-1, ValueError, failed("31..32", "ValueError")),
+    (0, ValueError, failed("0..0", "ValueError")),
+    (-1, ContractError, failed("31..32", "ContractError")),
+    (0, ContractError, failed("0..0", "ContractError")),
 ], ids=["in-a-worker", "in-the-parent", "value-error-in-a-worker", "value-error-in-the-parent",
         "contract-error-in-a-worker", "contract-error-in-the-parent"])
 def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_process(row, error, message, monkeypatch,
                                                                                    capsys):
-    # two usable CPUs: the first half of the rows is decided here, the rest in a forked worker;
-    # a ValueError of the checker, a guard's ContractError included, is no usage error
+    # the 33 rows are cut into 32 chunks, the last holding rows 31 and 32; a
+    # ValueError of the checker, a guard's ContractError included, is no usage error
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(ENUMERATE_111) == 0
     capsys.readouterr()
@@ -368,28 +371,28 @@ def test_a_crash_in_the_all_pairs_rows_is_an_internal_error_and_leaves_no_proces
         return real(s, u)
 
     monkeypatch.setattr(fn, "is_step", crashing)
-    assert main(ENUMERATE_111) == 3
-    assert capsys.readouterr().err == message
-    assert_no_child_process()
+    for cpus in (1, 2, 3):  # one text whichever process takes the row's chunk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert main(ENUMERATE_111) == 3
+        assert capsys.readouterr().err == message
+        assert_no_child_process()
 
 
 FUZZ_4X3 = ["fuzz", "--traces", "4", "--steps", "3", "--seed", "5"]
-FUZZ_WORKER_FAILED = "internal error: RuntimeError: worker for rows 2..3 failed: status 1, 0 bytes sent\n"
 
 
 @pytest.mark.parametrize("index, error, message", [
-    (9, RuntimeError, FUZZ_WORKER_FAILED),
-    (0, RuntimeError, "internal error: RuntimeError: planted\n"),
-    (9, ValueError, FUZZ_WORKER_FAILED),
-    (0, ValueError, "internal error: ValueError: planted\n"),
-    (9, ContractError, FUZZ_WORKER_FAILED),
-    (0, ContractError, "internal error: ContractError: planted\n"),
+    (9, RuntimeError, failed("3..3", "RuntimeError")),
+    (0, RuntimeError, failed("0..0", "RuntimeError")),
+    (9, ValueError, failed("3..3", "ValueError")),
+    (0, ValueError, failed("0..0", "ValueError")),
+    (9, ContractError, failed("3..3", "ContractError")),
+    (0, ContractError, failed("0..0", "ContractError")),
 ], ids=["in-a-worker", "in-the-parent", "value-error-in-a-worker", "value-error-in-the-parent",
         "contract-error-in-a-worker", "contract-error-in-the-parent"])
 def test_a_crash_in_the_fuzz_traces_is_an_internal_error_and_leaves_no_process(index, error, message, monkeypatch,
                                                                                 capsys):
-    # two usable CPUs: traces 0 and 1 (steps 0..5) are checked here, traces 2
-    # and 3 (steps 6..11) in a forked worker
+    # trace t numbers its steps from 3t and is a chunk of its own: step 9 is trace 3's first
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(FUZZ_4X3) == 0
     assert capsys.readouterr().err == "PASS: 12 steps, 36 checks, 0 failed, 0 unsound\n"
@@ -402,9 +405,11 @@ def test_a_crash_in_the_fuzz_traces_is_an_internal_error_and_leaves_no_process(i
         return real(s, cfg, rng, index=index)
 
     monkeypatch.setattr(runner, "gen_enabled_transition", crashing)
-    assert main(FUZZ_4X3) == 3
-    assert capsys.readouterr().err == message
-    assert_no_child_process()
+    for cpus in (1, 2, 3):  # one text whichever process takes the trace
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert main(FUZZ_4X3) == 3
+        assert capsys.readouterr().err == message
+        assert_no_child_process()
 
 
 def test_the_cli_starts_without_loading_a_process_pool():

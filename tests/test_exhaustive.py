@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import select
 import time
 
 import pytest
@@ -9,7 +10,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
-from pubsub_refine.core import ContractError, enabled, in_workers
+from pubsub_refine.core import CHUNKS, ContractError, enabled, in_workers
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
     broadcast_successors,
@@ -75,6 +76,8 @@ def test_one_peer_with_message():
 
 
 def test_wfs1_and_wfs2_are_decided_once_per_good_state(monkeypatch):
+    # one CPU: the obligations run with their rows, and a forked worker's calls are never counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
 
     def counted(s):
@@ -130,10 +133,81 @@ def test_only_the_first_discrepancies_are_kept(monkeypatch):
     assert report.to_obj()["discrepancy_counts"] == {"flood-relation-agreement": 25340}
 
 
-def test_rows_are_cut_into_one_contiguous_slice_per_usable_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert in_workers(7, lambda lo, hi: [lo, hi]) == [[0, 2], [2, 4], [4, 7]]
-    assert in_workers(2, lambda lo, hi: [lo, hi]) == [[0, 1], [1, 2]]  # never more workers than rows
+def counting_forks(monkeypatch) -> list:
+    """The pids os.fork returns to this process from now on."""
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def test_rows_are_cut_into_contiguous_chunks_whatever_the_cpu_count(monkeypatch):
+    # every row lies in exactly one chunk, the results come back in chunk
+    # order, and the bounds depend on the rows alone; never more workers than chunks
+    forks = counting_forks(monkeypatch)
+    for rows in (1, 2, 7, CHUNKS, 100):
+        chunks = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            forks.clear()
+            chunks.append(in_workers(rows, lambda lo, hi: list(range(lo, hi))))
+            assert len(forks) == min(rows, cpus) - 1
+        assert chunks[0] == chunks[1] == chunks[2]
+        assert len(chunks[0]) == min(rows, CHUNKS) and all(chunks[0])
+        assert [row for chunk in chunks[0] for row in chunk] == list(range(rows))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_chunks_that_finish_out_of_order_come_back_in_chunk_order(cpus, monkeypatch):
+    # whichever process takes the first chunk is held in it until the last
+    # chunk has finished, so the others take every later chunk meanwhile
+    forks = counting_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    held, release = os.pipe()
+
+    def work(lo, hi):
+        if lo == 0:
+            select.select([held], [], [], 10)  # bounded: a chunk 9 that never runs fails the test, not the run
+        finished = time.monotonic()  # one clock for every process of the machine
+        if lo == 9:
+            os.write(release, b"x")
+        return [lo, hi, finished]
+
+    try:
+        results = in_workers(10, work)
+    finally:
+        os.close(held)
+        os.close(release)
+    assert [[lo, hi] for lo, hi, _ in results] == [[k, k + 1] for k in range(10)]
+    assert results[-1][2] < results[0][2]
+    assert len(forks) == cpus - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_without_sending_is_an_internal_error(monkeypatch):
+    # the caller holds its first chunk until the worker has exited, so the worker takes a chunk and dies on it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = os.getpid()
+
+    def work(lo, hi):
+        if os.getpid() != caller:
+            os._exit(7)
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # left for in_workers to reap
+        return [lo, hi]
+
+    with pytest.raises(RuntimeError, match=r"^worker 1 failed: status 7, 0 bytes sent$"):
+        in_workers(4, work)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("model, is_step, bounds, counts", [

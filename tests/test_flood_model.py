@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from pubsub_refine import flood_model as fn
 from pubsub_refine.core import ContractError, Message, enabled, insert_unique, join_witness, ordered_set, topics_witness
 from pubsub_refine.flood_model import (
     FloodPeer,
@@ -415,3 +418,42 @@ def test_forward_witness_rejects_two_peers_losing_messages():
     u = forward(2, M2, forward(1, M, s))
     assert not is_step(s, u)
     assert step_kinds(s, u) == ()
+
+
+def _cleared_seen(s, u, p, m):
+    return u.with_peer(p, replace(u.get(p), seen=()))
+
+
+def _flooded_to_nobody(s, u, p, m):
+    return s.with_peer(p, u.get(p))
+
+
+def _not_marked_seen(s, u, p, m):
+    return u.with_peer(p, replace(u.get(p), seen=s.get(p).seen))
+
+
+def _requeued_at_a_peer_that_saw_it(s, u, p, m):
+    return FloodState(tuple((q, replace(qst, pending=(m,) + qst.pending) if m in qst.seen and q != p else qst)
+                            for q, qst in u.entries))
+
+
+@pytest.mark.parametrize("mutant", [_cleared_seen, _flooded_to_nobody, _not_marked_seen,
+                                    _requeued_at_a_peer_that_saw_it])
+def test_the_entry_wise_gate_admits_a_mutant_forward_for_its_replay(mutant, monkeypatch):
+    # a buggy forward is replayed as it is and still classified a forward, so
+    # the obligations, not the gate, are what must catch it
+    a = Message("a", "t1", 1)
+    real = fn.forward
+
+    def mutated(p, m, s):
+        return mutant(s, real(p, m, s), p, m)  # real's guard still names the forwarder
+
+    monkeypatch.setattr(fn, "forward", mutated)
+    s = state(**{
+        "1": peer(pubs=["t1"], nsubs={"t1": [2, 3]}, pending=[M], seen=[a]),
+        "2": peer(subs=["t1"], seen=[M]),
+        "3": peer(subs=["t1"]),
+    })
+    u = fn.forward(1, M, s)
+    assert u != real(1, M, s)
+    assert fn.step_kinds(s, u) == ("forward",)
