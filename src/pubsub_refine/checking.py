@@ -13,7 +13,8 @@ counterexample, with the full state dumps, and then keeps the step only as
 the canonical JSON text the report writes for it. An unsound step is a
 counterexample whether the trace was generated or replayed: replay input
 cannot make a step unsound (scenario states must be good and events
-enabled), so one comes from the model.
+enabled), so one comes from the model. A run none of whose steps moved
+the flood state checks nothing: its report's ok raises NothingChecked.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class StepRecord:
         return obj
 
 
+class NothingChecked(ValueError):
+    """A run that checked nothing, such as one whose steps never moved the flood state: it neither passes nor fails."""
+
+
 @dataclass
 class CheckReport:
     """The checked steps of a run, their totals and the dump of its first offending step.
@@ -66,7 +71,8 @@ class CheckReport:
     The totals are counted as each step is added, so reading them walks
     nothing. Each step is held as its canonical JSON text, encoded once as
     it is added, so a run keeps its report's bytes rather than a record
-    and a WFS3 witness state per step.
+    and a WFS3 witness state per step. moved, which is not written, counts
+    the steps whose flood match is not skip.
     """
 
     config: dict = field(default_factory=dict)
@@ -75,6 +81,7 @@ class CheckReport:
     elapsed_seconds: float = 0.0
     totals: dict = field(init=False, default_factory=lambda: dict.fromkeys(
         ("steps", "checks", "passed", "failed", "unsound_steps", "not_applicable", "errors"), 0))
+    moved: int = field(default=0, init=False)
 
     def add(self, rec: StepRecord, s: fn.FloodState, u: fn.FloodState):
         """Append a checked step's JSON text and count it; dump the first unsound or failed one as the counterexample."""
@@ -88,6 +95,7 @@ class CheckReport:
         t["failed"] += failed
         t["unsound_steps"] += not rec.sound
         t["not_applicable"] += skipped
+        self.moved += rec.flood_matches != ("skip",)
         if self.counterexample is not None or (rec.sound and not failed):
             return
         reasons = list(rec.soundness_issues)
@@ -101,6 +109,9 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
+        if self.counterexample is None and not self.moved:
+            steps = self.totals["steps"]
+            raise NothingChecked(f"the run checked nothing: none of its {steps} steps moved the flood state")
         return self.counterexample is None
 
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every obligation passes, 1 when a counterexample was
 found (a failed obligation or an unsound step, generated or replayed), 2
-for usage or input errors (an unwritable --report path included, refused
-before any checking, and a run that would check nothing), 3 for an
-internal error of the checker itself, so that 1 always means a
+for usage or input errors (an unwritable --report path, refused before
+any checking, and a run that checked nothing, which writes no report), 3
+for an internal error of the checker itself, so that 1 always means a
 counterexample.
 """
 
@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .checking import emit_report
+from .checking import NothingChecked, emit_report
 from .exhaustive import BoundsError, run_exhaustive
 from .faults import FAULTS, run_fault
 from .generate import GeneratorConfig, default_weights
@@ -119,6 +119,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return _run(args)
+    except (BoundsError, NothingChecked) as e:  # refusals: bounds it cannot check, a run that checked nothing
+        return _usage_error(e)
     except Exception as e:  # the CLI boundary: exit 1 must only ever mean a counterexample
         message = " ".join(str(e).splitlines())
         print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
@@ -133,20 +135,6 @@ def _usage_error(e) -> int:
     return USAGE_ERROR
 
 
-def _fuzz_config(args) -> GeneratorConfig:
-    if min(args.traces, args.steps, args.max_peers) < 1:
-        raise ValueError("--traces, --steps and --max-peers must be at least 1")
-    return GeneratorConfig(
-        max_peers=args.max_peers,
-        max_topics=args.max_topics,
-        max_messages=args.max_messages,
-        steps=args.steps,
-        seed=args.seed,
-        weights=_parse_weights(args.weights),
-        static=args.static,
-    )
-
-
 def _run(args) -> int:
     path = getattr(args, "report", None)
     problem = path is not None and _unwritable(path)
@@ -155,15 +143,12 @@ def _run(args) -> int:
 
     start = time.monotonic()
     if args.command == "enumerate":
-        if args.peers < 1:  # the empty network alone: nothing would be checked
-            return _usage_error("--peers must be at least 1")
-        try:
-            report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
-        except BoundsError as e:
-            return _usage_error(e)
+        report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
     elif args.command == "fuzz":
         try:
-            cfg = _fuzz_config(args)
+            cfg = GeneratorConfig(max_peers=args.max_peers, max_topics=args.max_topics,
+                                  max_messages=args.max_messages, steps=args.steps, seed=args.seed,
+                                  weights=_parse_weights(args.weights), static=args.static)
         except ValueError as e:
             return _usage_error(e)
         report = fuzz_run(cfg, traces=args.traces)
@@ -175,10 +160,11 @@ def _run(args) -> int:
     else:
         report = run_fault(args.fault)
     report.elapsed_seconds = time.monotonic() - start
+    ok = report.ok  # read first: a run that checked nothing raises here and writes no report
     _write_report(report, path)
     if args.command != "enumerate":
         print(_summarize(report), file=sys.stderr)
-    return 0 if report.ok else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -269,11 +269,12 @@ def in_workers(rows: int, work) -> list:
     and reads back unchanged; the caller keeps its own results as they are.
 
     A chunk whose work raises is recorded where it ran as "rows lo..hi
-    failed: Type: message", and that process takes no further chunk; the
-    caller then raises one RuntimeError for the lowest failing chunk. Every
-    chunk below it left the pipe first and ran, so the text depends neither
-    on the process nor on the CPU count. A child that dies without sending
-    its results is an internal error too, and no child outlives the call.
+    failed: Type: message", and that process empties the pipe, so no
+    process starts another chunk; the caller then raises one RuntimeError
+    for the lowest failing chunk. Every chunk below it left the pipe first
+    and still runs, so the text depends neither on the process nor on the
+    CPU count. A child that dies without sending its results is an
+    internal error too, and no child outlives the call.
     """
     chunks = min(rows, CHUNKS)
     bounds = [(k * rows // chunks, (k + 1) * rows // chunks) for k in range(chunks)]
@@ -286,6 +287,7 @@ def in_workers(rows: int, work) -> list:
             try:
                 done.append([chunk[0], work(lo, hi)])
             except Exception as e:  # recorded, and raised by the caller whichever process ran it
+                os.read(queue, CHUNKS)  # empties the queue: every process stops after the chunk it holds
                 return [done, [chunk[0], f"rows {lo}..{hi - 1} failed: {type(e).__name__}: {e}"]]
         return [done, None]
 

@@ -292,9 +292,11 @@ class BoundsError(ValueError):
 
 
 def run_exhaustive(peers: int, topics: int, messages: int, cap: int = 2000) -> ExhaustiveReport:
-    """Cross-check relations, good-state preservation and obligations within bounds."""
+    """Cross-check relations, good-state preservation and obligations within bounds of at least one peer."""
     if min(peers, topics, messages) < 0:
         raise BoundsError("bounds must be non-negative")
+    if peers < 1:
+        raise BoundsError("at least one peer is needed: the empty network alone checks nothing")
     if estimate_flood_states(peers, topics, messages, cap) > cap:
         raise BoundsError(
             f"bounds ({peers} peers, {topics} topics, {messages} messages) "

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 
 from . import flood_model as fn
-from .checking import CheckReport, check_step, check_trace_refinement
+from .checking import CheckReport, NothingChecked, check_step, check_trace_refinement
 from .core import in_workers
 from .generate import GeneratorConfig, gen_enabled_transition, gen_good_state
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 from .trace import TraceError, apply_event, run_trace
 
 
@@ -22,7 +22,7 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
     the first counterexample kept) into the report one process would write.
     A non-good start state takes the first index of its trace's block and
     leaves the rest unused. A run without a trace, a step or a peer checks
-    nothing, so it is refused before any work.
+    nothing, so it is refused before any work, not by its report's ok.
 
     Generator output is checked, not trusted: a non-good start state s is
     checked as the step s -> s, so it is unsound, a counterexample like a
@@ -32,9 +32,9 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
     refusal in trace order is raised again here, whichever process met it.
     """
     if min(traces, cfg.steps, cfg.max_peers) < 1:
-        raise ValueError("a fuzz run needs at least one trace, one step and one peer")
+        raise NothingChecked("a fuzz run needs at least one trace, one step and one peer")
 
-    def check(lo, hi):  # [step texts, totals, counterexample, refusal] of traces lo..hi-1
+    def check(lo, hi):  # [step texts, totals, moved, counterexample, refusal] of traces lo..hi-1
         part = CheckReport()
         for t in range(lo, hi):
             rng = random.Random(f"{cfg.seed}:{t}")
@@ -47,18 +47,19 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
                 try:
                     u = apply_event(s, ev)
                 except TraceError as e:  # a refusal, not a crash: the caller raises it again in trace order
-                    return [part.steps, part.totals, part.counterexample, str(e)]
+                    return [part.steps, part.totals, part.moved, part.counterexample, str(e)]
                 part.add(check_step(index, s, u, ev.kind), s, u)
                 s = u
-        return [part.steps, part.totals, part.counterexample, None]
+        return [part.steps, part.totals, part.moved, part.counterexample, None]
 
     report = CheckReport(config=dict(cfg.to_obj(), traces=traces))
-    for steps, totals, counterexample, refusal in in_workers(traces, check):
+    for steps, totals, moved, counterexample, refusal in in_workers(traces, check):
         if refusal is not None:
             raise TraceError(refusal)
         report.steps += steps
         for name, n in totals.items():
             report.totals[name] += n
+        report.moved += moved
         if report.counterexample is None:
             report.counterexample = counterexample
     return report
@@ -67,12 +68,10 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
 def scenario_run(path) -> CheckReport:
     """Replay a scenario file and check the refinement obligations over it.
 
-    A scenario without an event other than skip is refused: its steps leave
-    every state as it was, so it would pass vacuously.
+    A scenario none of whose steps moves the state checks nothing, so its
+    report's ok refuses it.
     """
     state, events = load_scenario(path)
-    if all(ev.kind == "skip" for ev in events):
-        raise ScenarioError("a scenario without a non-skip event checks nothing and never passes", "events")
     states = run_trace(state, events)
     return check_trace_refinement(
         states,

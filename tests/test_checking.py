@@ -10,7 +10,7 @@ import pytest
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
 from pubsub_refine import runner, trace
-from pubsub_refine.checking import CheckReport, check_step, check_trace_refinement, emit_report
+from pubsub_refine.checking import CheckReport, NothingChecked, check_step, check_trace_refinement, emit_report
 from pubsub_refine.core import Message
 from pubsub_refine.generate import GeneratorConfig
 from pubsub_refine.refinement import refinement_map
@@ -35,9 +35,11 @@ def emitted(report) -> dict:
 
 
 def test_all_skip_trace():
+    # no step moves the flood state, so the run checked nothing: it neither passes nor fails
     s = flood([(1, fn.FloodPeer(subs=("t1",)))])
     report = check_trace_refinement([s, s, s], kinds=["skip", "skip"])
-    assert report.ok
+    with pytest.raises(NothingChecked, match="none of its 2 steps moved the flood state"):
+        report.ok
     assert [step["bn_match"] for step in parsed_steps(report)] == ["skip", "skip"]
     assert report.totals["checks"] == 6
     assert report.totals["failed"] == 0

@@ -124,12 +124,17 @@ def test_run_rejects_bad_input(tmp_path):
 
 
 def test_run_refuses_a_scenario_without_events(tmp_path, capsys):
-    # a scenario of skips alone leaves every state as it was: it checks nothing either
+    # a scenario of skips alone leaves every state as it was: it checks nothing either, and
+    # so does one that subscribes a peer to a topic it holds and unsubscribes it from one it lacks
     for document in ({"state": {"peers": {"1": {}}}, "events": []}, {"state": {"peers": {"1": {}}}},
-                     {"state": {"peers": {}}, "events": [{"index": 0, "kind": "skip"}]}):
-        empty = tmp_path / "empty.json"
+                     {"state": {"peers": {}}, "events": [{"index": 0, "kind": "skip"}]},
+                     {"state": {"peers": {"1": {"subs": ["t0"]}}},
+                      "events": [{"kind": "subscribe", "peer": 1, "topics": ["t0"]},
+                                 {"kind": "unsubscribe", "peer": 1, "topics": ["t1"]}]}):
+        empty, report = tmp_path / "empty.json", tmp_path / "report.json"
         empty.write_text(json.dumps(document))
-        assert_usage_error(["run", str(empty)], capsys)
+        assert_usage_error(["run", str(empty), "--report", str(report)], capsys)
+        assert not report.exists()
 
 
 def test_unsound_replayed_step_is_a_counterexample(tmp_path, monkeypatch, capsys):
@@ -170,7 +175,8 @@ def test_enumerate_refuses_oversized(capsys):
 
 
 def test_mutate_faults_exit_codes(tmp_path):
-    for fault in ("drop-receiver", "leave-with-pending", "unsorted-seen"):
+    # the last three plant a step whose flood match is skip: their counterexample is never masked
+    for fault in ("drop-receiver", "leave-with-pending", "skip-good-check", "duplicate-seen", "unsorted-seen"):
         out = tmp_path / f"{fault}.json"
         assert main(["mutate", "--fault", fault, "--report", str(out)]) == 1
         report = json.loads(out.read_text())
@@ -198,9 +204,9 @@ def test_fuzz_rejects_weights_that_are_not_finite_and_non_negative(weight, capsy
 def test_fuzz_rejects_finite_weights_whose_total_overflows(capsys):
     # each weight is finite, but their sum is not; sampling would crash on it
     argv = ["fuzz", "--max-peers", "3", "--traces", "1", "--steps", "1"]
-    assert_usage_error(argv + ["--weights", "join=1e308,skip=1e308"], capsys)
-    # a churn weight that --static zeroes does not count towards the total
-    assert main(argv + ["--static", "--weights", "join=1e308,skip=1e308"]) == 0
+    assert_usage_error(argv + ["--weights", "join=1e308,produce=1e308"], capsys)
+    # a churn weight that --static zeroes does not count towards the total; the one step is a produce
+    assert main(argv + ["--seed", "1", "--static", "--weights", "join=1e308,produce=1e308"]) == 0
 
 
 @pytest.mark.parametrize("bounds", [("-1", "1", "0"), ("1", "-1", "0"), ("1", "1", "-1")])
@@ -214,12 +220,16 @@ def test_enumerate_rejects_negative_bounds(bounds, capsys):
                                    ["--weights", "produce=0,forward=0,subscribe=0,unsubscribe=0,join=0,leave=0"],
                                    ["--static", "--weights", "produce=0,forward=0"],
                                    ["--static", "--max-topics", "0"], ["--static", "--max-messages", "0"],
-                                   ["--max-topics", "0", "--weights", "subscribe=0,unsubscribe=0,join=0,leave=0"]])
-def test_fuzz_that_checks_nothing_is_a_usage_error(flags, capsys):
+                                   ["--max-topics", "0", "--weights", "subscribe=0,unsubscribe=0,join=0,leave=0"],
+                                   ["--traces", "1", "--steps", "1", "--seed", "5"]])
+def test_fuzz_that_checks_nothing_is_a_usage_error(flags, tmp_path, capsys):
     # no trace, no step, no peer (every state the empty network, every step a skip),
-    # weights that leave only skip, with or without churn, or bounds that give
-    # every weighted kind but skip no arguments (no topic or no message)
-    assert_usage_error(["fuzz", *flags], capsys)
+    # weights that leave only skip, with or without churn, bounds that give
+    # every weighted kind but skip no arguments (no topic or no message), or
+    # one step that changes nothing; none of them writes a report
+    report = tmp_path / "report.json"
+    assert_usage_error(["fuzz", *flags, "--report", str(report)], capsys)
+    assert not report.exists()
 
 
 def test_enumerate_without_a_peer_is_a_usage_error(capsys):

@@ -13,6 +13,7 @@ from pubsub_refine.cli import main
 from pubsub_refine.core import CHUNKS, ContractError, enabled, in_workers
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
+    BoundsError,
     broadcast_successors,
     enumerate_broadcast_states,
     enumerate_flood_states,
@@ -25,10 +26,11 @@ from pubsub_refine.refinement import check_wfs1
 
 
 def test_trivial_bounds():
-    report = run_exhaustive(0, 0, 0)
-    assert report.ok
-    assert report.flood_states == 1  # just the empty network
-    assert report.broadcast_states == 1
+    # without a peer the universe is the empty network alone, which checks nothing
+    with pytest.raises(BoundsError, match="at least one peer"):
+        run_exhaustive(0, 0, 0)
+    assert len(list(enumerate_flood_states(0, 0, 0))) == estimate_flood_states(0, 0, 0) == 1
+    assert len(list(enumerate_broadcast_states(0, 0, 0))) == 1
 
 
 def test_estimate_matches_enumeration():
@@ -189,6 +191,37 @@ def test_chunks_that_finish_out_of_order_come_back_in_chunk_order(cpus, monkeypa
     assert [[lo, hi] for lo, hi, _ in results] == [[k, k + 1] for k in range(10)]
     assert results[-1][2] < results[0][2]
     assert len(forks) == cpus - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_crash_stops_every_process_after_the_chunk_it_holds(cpus, tmp_path, monkeypatch):
+    # chunk 0 raises once the other process holds chunk 1, which is still running
+    # then; the crash empties the queue, so no process starts a third chunk
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    calls = tmp_path / "calls"  # appended to by every process
+    started, start = os.pipe()
+
+    def work(lo, hi):
+        with open(calls, "a", encoding="utf-8") as f:
+            f.write(f"{lo} ")
+        if lo == 1:
+            os.write(start, b"x")
+            time.sleep(0.2)
+        if lo == 0:
+            if cpus > 1:
+                select.select([started], [], [], 10)  # bounded: a chunk 1 that never starts fails the test, not the run
+            raise ValueError("planted")
+        return [lo, hi]
+
+    try:
+        with pytest.raises(RuntimeError, match=r"^rows 0\.\.0 failed: ValueError: planted$"):
+            in_workers(CHUNKS, work)
+    finally:
+        os.close(started)
+        os.close(start)
+    assert sorted(map(int, calls.read_text().split())) == list(range(cpus))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

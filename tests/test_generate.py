@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pubsub_refine import flood_model as fn
+from pubsub_refine.checking import NothingChecked
 from pubsub_refine.core import Message
 from pubsub_refine.generate import (
     CHURN_KINDS,
@@ -11,6 +12,7 @@ from pubsub_refine.generate import (
     gen_enabled_transition,
     gen_good_state,
 )
+from pubsub_refine.runner import fuzz_run
 from pubsub_refine.trace import apply_event
 
 
@@ -114,16 +116,16 @@ def test_config_validation():
         GeneratorConfig(weights={"teleport": 1.0})
     with pytest.raises(ValueError, match="positive"):
         GeneratorConfig(weights={"skip": 0.0})
-    with pytest.raises(ValueError, match="other than skip"):
-        # a run of skips alone would check nothing
-        GeneratorConfig(weights={"skip": 1.0})
+    with pytest.raises(NothingChecked):
+        # a run of skips alone checks nothing
+        fuzz_run(GeneratorConfig(weights={"skip": 1.0}), traces=2).ok
     with pytest.raises(ValueError, match="positive"):
         # static mode zeroes the only weighted kind
         GeneratorConfig(weights={"join": 1.0}, static=True)
-    with pytest.raises(ValueError, match="other than skip"):
+    with pytest.raises(NothingChecked):
         # without a message to draw, produce and forward fall back to skip
-        GeneratorConfig(max_messages=0, weights={"produce": 1.0, "forward": 1.0})
-    GeneratorConfig(max_messages=0, weights={"forward": 1.0, "subscribe": 1.0})  # subscribe needs only a topic
+        fuzz_run(GeneratorConfig(max_messages=0, weights={"produce": 1.0, "forward": 1.0}), traces=2).ok
+    GeneratorConfig(max_messages=0, weights={"forward": 1.0, "subscribe": 1.0})  # well formed: its run decides the rest
 
 
 def test_produce_candidates_keep_every_new_message_in_order():
