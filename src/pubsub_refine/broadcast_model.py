@@ -7,39 +7,43 @@ multi-hop flood collapses to under the refinement map once churn is allowed.
 Both deliver through _deliver: a broadcast delivers like the partial
 broadcast to the subscribers and the origin.
 
-The step relation is a disjunction of seven cases. Each case recovers the
-transition's hidden arguments from the (pre, post) state pair with a witness
-function and then checks that replaying the transition with those arguments
-reproduces the post state exactly. A case whose transition refuses the
-recovered arguments (its ContractError guard, asked through core.enabled)
-does not apply; no case restates a guard. The subscription and membership
-cases share core.topics_witness and core.join_witness with the flood model.
-step_kind names the first accepting case, which is the match a WFS3 verdict
-reports; is_step asks whether there is one.
+CASES is the one table of the seven step cases, read by the relation
+and the exhaustive enumerator as the flood model's is. Each case's
+witness recovers the transition's arguments from the (pre, post) pair,
+and the relation replays the named transition on them and demands the
+post state exactly; a refused replay does not apply. step_kind names the
+first accepting case, which is the match a WFS3 verdict reports; is_step
+asks whether there is one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
+    Case,
     ContractError,
     Message,
     PeerId,
     PeerMap,
+    SKIP,
     Topic,
     difference,
-    enabled,
     first_difference,
     insert_unique,
     is_ascending,
     join_witness,
+    left_peer,
+    offer_peers,
+    offer_topics,
     ordered_set,
+    skip,  # the skip row's transition, looked up in this module like every other
+    step_tests,
+    subsets,
     topics_witness,
     union_sets,
 )
-
-STEP_KINDS = ("skip", "broadcast", "broadcast-partial", "subscribe", "unsubscribe", "join", "leave")
 
 
 @dataclass(frozen=True)
@@ -154,52 +158,37 @@ def message_witness(s: BroadcastState, u: BroadcastState) -> Message | None:
     return gained[0] if gained else None
 
 
-# The seven step cases and their disjunction.
+# The seven step cases: one table, read by the relation and the enumerator.
 
 
-def is_skip_step(s: BroadcastState, u: BroadcastState) -> bool:
-    return u == s
-
-
-def is_broadcast_step(s: BroadcastState, u: BroadcastState) -> bool:
+def _broadcast(s: BroadcastState, u: BroadcastState) -> tuple[Message] | None:
     m = message_witness(s, u)
-    return m is not None and u == enabled(broadcast, m, s)
+    return None if m is None else (m,)
 
 
-def is_broadcast_partial_step(s: BroadcastState, u: BroadcastState) -> bool:
+def _partial(s: BroadcastState, u: BroadcastState) -> tuple | None:
+    """The delivered message and every peer that has seen it in u."""
     m = message_witness(s, u)
-    return m is not None and u == enabled(broadcast_partial, m, message_receivers(m, u), s)
+    return None if m is None else (m, message_receivers(m, u))
 
 
-def is_subscribe_step(s: BroadcastState, u: BroadcastState) -> bool:
-    w = topics_witness(s, u)
-    return w is not None and u == enabled(subscribe, w[0], w[1], s)
-
-
-def is_unsubscribe_step(s: BroadcastState, u: BroadcastState) -> bool:
-    w = topics_witness(u, s)  # reversed: topics present in s but dropped in u
-    return w is not None and u == enabled(unsubscribe, w[0], w[1], s)
-
-
-def is_join_step(s: BroadcastState, u: BroadcastState) -> bool:
+def _joined(s: BroadcastState, u: BroadcastState) -> tuple | None:
     w = join_witness(s, u)
-    return w is not None and u == enabled(join, w[0], w[1].pubs, w[1].subs, s)
+    return None if w is None else (w[0], w[1].pubs, w[1].subs)
 
 
-def is_leave_step(s: BroadcastState, u: BroadcastState) -> bool:
-    w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    return w is not None and u == enabled(leave, w[0], s)
-
-
-_STEP_TESTS = {
-    "skip": is_skip_step,
-    "broadcast": is_broadcast_step,
-    "broadcast-partial": is_broadcast_partial_step,
-    "subscribe": is_subscribe_step,
-    "unsubscribe": is_unsubscribe_step,
-    "join": is_join_step,
-    "leave": is_leave_step,
+CASES = {
+    "skip": SKIP,
+    "broadcast": Case("broadcast", _broadcast, lambda s, peers, topics, msgs: ((m,) for m in msgs)),
+    "broadcast-partial": Case(
+        "broadcast_partial", _partial, lambda s, peers, topics, msgs: product(msgs, subsets(s.keys()))),
+    "subscribe": Case("subscribe", topics_witness, offer_topics),
+    "unsubscribe": Case("unsubscribe", lambda s, u: topics_witness(u, s), offer_topics),
+    "join": Case("join", _joined, lambda s, peers, topics, msgs: product(peers, subsets(topics), subsets(topics))),
+    "leave": Case("leave", left_peer, offer_peers),
 }
+STEP_KINDS = tuple(CASES)
+_STEP_TESTS = step_tests(CASES, globals())
 
 
 def step_kind(s: BroadcastState, u: BroadcastState) -> str | None:

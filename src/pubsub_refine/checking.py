@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 
 from . import flood_model as fn
-from .core import canonical_json
+from .core import canonical_json, ordered_set
 from .refinement import WfsVerdict, check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -126,7 +126,7 @@ def check_step(index: int, s: fn.FloodState, u: fn.FloodState, kind: str) -> Ste
     for tag, x, good in (("pre", s, good_s), ("post", u, good_u)):
         if not good:
             issues.append(f"{tag}-state violates good-state invariants at peers "
-                          f"{fn.self_tracking_violations(x) + fn.unordered_seen_violations(x)}")
+                          f"{ordered_set(fn.self_tracking_violations(x) + fn.unordered_seen_violations(x))}")
     flood_matches = fn.step_kinds(s, u)
     if not flood_matches:
         issues.append("no flood transition relates the states")

@@ -6,13 +6,16 @@ representation, set and map equality reduce to plain sequence equality,
 which the witness functions and the refinement checkers rely on. Both
 models' states are a PeerMap, and every witness function walks two of them
 with first_difference; the subscription and membership witnesses,
-topics_witness and join_witness, serve both models. in_workers is the one
-fork-and-merge helper of both oracles: the all-pairs rows and the fuzz
-traces are each handed out in chunks to the usable CPUs with it.
+topics_witness and join_witness, serve both models. Each model's step
+cases are one table of Case rows, and step_tests builds its relation's
+cases from it. in_workers is the one fork-and-merge helper of both
+oracles: the all-pairs rows and the fuzz traces are each handed out in
+chunks to the usable CPUs with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import os
@@ -95,6 +98,12 @@ def insert_unique(a: T, x: tuple[T, ...]) -> tuple[T, ...]:
     if i < len(x) and x[i] == a:
         return x
     return x[:i] + (a,) + x[i:]
+
+
+def subsets(pool: Sequence[T]):
+    """Every subset of pool as a tuple in pool's order, smallest first: ordered sets when pool is one."""
+    for r in range(len(pool) + 1):
+        yield from itertools.combinations(pool, r)
 
 
 def union_sets(x: tuple[T, ...], y: tuple[T, ...]) -> tuple[T, ...]:
@@ -243,6 +252,65 @@ def join_witness(s: PeerMap[V], u: PeerMap[V]) -> tuple[PeerId, V] | None:
     if i == len(eu):
         return None
     return eu[i]
+
+
+class Case(NamedTuple):
+    """One case of a step relation, a row of its model's CASES table (kind -> Case).
+
+    transition names the model's transition, looked up on the model module
+    at each call, so one rebound there is what replay, the relation and the
+    enumerator all run. witness(s, u) reads its arguments (all but the
+    state) off a state pair, or gives None; offers(s, peer_pool,
+    topic_pool, msg_pool) yields the argument tuples the exhaustive
+    enumerator tries; fields names the trace event fields that are the
+    arguments (flood model only).
+    """
+
+    transition: str
+    witness: Callable
+    offers: Callable
+    fields: tuple[str, ...] = ()
+
+
+def step_tests(cases: dict[str, Case], model: dict) -> dict:
+    """kind -> test(s, u) for each case.
+
+    A test reads the arguments off (s, u) with the witness, replays the
+    transition named in model (a module's globals) on them and accepts only
+    if u is exactly the result; a replay the guard refuses does not apply.
+    """
+
+    def test(witness, name):
+        def accepts(s, u) -> bool:
+            args = witness(s, u)
+            return args is not None and u == enabled(model[name], *args, s)
+
+        return accepts
+
+    return {kind: test(case.witness, case.transition) for kind, case in cases.items()}
+
+
+def skip(s):
+    """The identity transition of both models."""
+    return s
+
+
+# Shared by both tables: the skip row, the join walk reversed, and the offers of a present peer's
+# own changes.
+SKIP = Case("skip", lambda s, u: (), lambda s, *pools: ((),))
+
+
+def left_peer(s: PeerMap, u: PeerMap) -> tuple[PeerId] | None:
+    w = join_witness(u, s)
+    return None if w is None else (w[0],)
+
+
+def offer_peers(s, peer_pool, topic_pool, msg_pool):
+    return ((p,) for p in s.keys())
+
+
+def offer_topics(s, peer_pool, topic_pool, msg_pool):
+    return itertools.product(s.keys(), subsets(topic_pool))
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))

@@ -6,10 +6,12 @@ duplicate-free in every insertion order, neighbor maps canonical (no empty
 value sets). Self-tracking neighbor entries are included on purpose; they
 are exactly the non-good states the relations must still handle.
 
-For each state it then builds the brute-force successor set: it offers
-every argument combination in the pools (the state's own peers for
-forwards, subscription changes, neighbours and receivers) to its
-transition and keeps what the guard accepts. It cross-checks four things:
+For each state it then builds the brute-force successor set: each case
+of the model's CASES table offers every argument combination in the pools
+(the state's own peers for forwards, subscription changes, neighbours and
+receivers) to its transition, and the set keeps what the guard accepts.
+flood_successors and broadcast_successors are that one loop, _successors,
+over each model. It cross-checks four things:
 
   * every successor lies inside the universe,
   * the step relation agrees with successor-set membership on all state
@@ -43,17 +45,12 @@ from dataclasses import asdict, dataclass, field
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import Message, enabled, in_workers
+from .core import Message, enabled, in_workers, subsets
 from .refinement import check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
-def _subsets(pool):
-    for r in range(len(pool) + 1):
-        yield from itertools.combinations(pool, r)
-
-
 def _pending_sequences(msgs):
-    for subset in _subsets(msgs):
+    for subset in subsets(msgs):
         yield from itertools.permutations(subset)
 
 
@@ -97,22 +94,22 @@ def estimate_flood_states(peers: int, topics: int, messages: int, cap: float = m
 
 def _states(state_type, peer_pool, per_peer):
     """Every state whose keys are a subset of peer_pool and whose peers come from per_peer."""
-    for present in _subsets(peer_pool):
+    for present in subsets(peer_pool):
         for combo in itertools.product(per_peer, repeat=len(present)):
             yield state_type(tuple(zip(present, combo)))
 
 
 def enumerate_flood_states(peers: int, topics: int, messages: int):
     peer_pool, topic_pool, msg_pool = universe_pools(peers, topics, messages)
-    topic_sets = tuple(_subsets(topic_pool))
+    topic_sets = tuple(subsets(topic_pool))
     # neighbor targets range over the whole pool, including the peer itself:
     # the self-tracking states are precisely the non-good ones the relations
     # must still decide
     nsubs_choices = tuple(
         tuple((tp, ps) for tp, ps in zip(topic_pool, combo) if ps)
-        for combo in itertools.product(tuple(_subsets(peer_pool)), repeat=len(topic_pool))
+        for combo in itertools.product(tuple(subsets(peer_pool)), repeat=len(topic_pool))
     )
-    seen_sets = tuple(_subsets(msg_pool))
+    seen_sets = tuple(subsets(msg_pool))
     per_peer = tuple(
         fn.FloodPeer(pubs, subs, nsubs, pending, seen)
         for pubs in topic_sets
@@ -126,8 +123,8 @@ def enumerate_flood_states(peers: int, topics: int, messages: int):
 
 def enumerate_broadcast_states(peers: int, topics: int, messages: int):
     peer_pool, topic_pool, msg_pool = universe_pools(peers, topics, messages)
-    topic_sets = tuple(_subsets(topic_pool))
-    seen_sets = tuple(_subsets(msg_pool))
+    topic_sets = tuple(subsets(topic_pool))
+    seen_sets = tuple(subsets(msg_pool))
     per_peer = tuple(
         bn.BroadcastPeer(pubs, subs, seen)
         for pubs in topic_sets
@@ -137,54 +134,26 @@ def enumerate_broadcast_states(peers: int, topics: int, messages: int):
     yield from _states(bn.BroadcastState, peer_pool, per_peer)
 
 
-def _offer(out: list, kind: str, transition, *args):
-    """Append (kind, transition(*args)) to out if the transition's guard accepts the arguments."""
-    u = enabled(transition, *args)
-    if u is not None:
-        out.append((kind, u))
+def _successors(model, s, pools) -> list:
+    """All (kind, successor) pairs one enabled transition reaches: each case's offers its guard accepts."""
+    out = []
+    for kind, case in model.CASES.items():
+        transition = getattr(model, case.transition)
+        for args in case.offers(s, *pools):
+            u = enabled(transition, *args, s)
+            if u is not None:
+                out.append((kind, u))
+    return out
 
 
 def flood_successors(s: fn.FloodState, peer_pool, topic_pool, msg_pool):
-    """All (kind, successor) pairs reachable by one enabled transition."""
-    out = [("skip", s)]
-    for m in msg_pool:
-        _offer(out, "produce", fn.produce, m, s)
-    keys = s.keys()
-    for m in fn.pending_messages(s):
-        for p in keys:
-            _offer(out, "forward", fn.forward, p, m, s)
-    for p in keys:
-        for topics in _subsets(topic_pool):
-            _offer(out, "subscribe", fn.subscribe, p, topics, s)
-            _offer(out, "unsubscribe", fn.unsubscribe, p, topics, s)
-    for p in peer_pool:  # _subsets yields ordered sets, which join's cached core takes as they are
-        for pubs in _subsets(topic_pool):
-            for subs in _subsets(topic_pool):
-                for nbrs in _subsets(keys):
-                    _offer(out, "join", fn._join, p, pubs, subs, nbrs, s)
-    for p in keys:
-        _offer(out, "leave", fn.leave, p, s)
-    return out
+    """All (kind, successor) pairs reachable by one enabled flood transition."""
+    return _successors(fn, s, (peer_pool, topic_pool, msg_pool))
 
 
 def broadcast_successors(s: bn.BroadcastState, peer_pool, topic_pool, msg_pool):
-    """All (kind, successor) pairs reachable by one enabled transition."""
-    out = [("skip", s)]
-    for m in msg_pool:
-        _offer(out, "broadcast", bn.broadcast, m, s)
-        for receivers in _subsets(s.keys()):
-            _offer(out, "broadcast-partial", bn.broadcast_partial, m, receivers, s)
-    for p in s.keys():
-        for topics in _subsets(topic_pool):
-            _offer(out, "subscribe", bn.subscribe, p, topics, s)
-            _offer(out, "unsubscribe", bn.unsubscribe, p, topics, s)
-    for p in peer_pool:
-        for pubs in _subsets(topic_pool):
-            for subs in _subsets(topic_pool):
-                _offer(out, "join", bn.join, p, pubs, subs, s)
-    for p in s.keys():
-        _offer(out, "leave", bn.leave, p, s)
-    return out
+    """All (kind, successor) pairs reachable by one enabled broadcast transition."""
+    return _successors(bn, s, (peer_pool, topic_pool, msg_pool))
 
 
 KEPT_DISCREPANCIES = 20  # dumps kept for the report; any discrepancy fails the run

@@ -14,50 +14,58 @@ that are no longer in the state. subscribe, unsubscribe and join tell the
 neighbours through one walk, _record: each of a set of peers inserts the
 changed peer into, or removes it from, its nsubs map under some topics.
 
-Every step case but skip walks the two states in lock step with
-first_difference, reads the transition's arguments off the first
-difference, replays that one transition and demands exact equality. A
-case whose transition refuses the recovered arguments does not apply: the
-transition's ContractError guard, asked through core.enabled, is the one
-statement of when it is enabled, and no case restates it. The produced
-message heads the pending set of the first changed entry; the forwarded
-message is the first one that some pending set lost (neighbors only gain
-messages), and forward's guard accepts the peer that lost it only if it
-is the first peer in key order to hold it. The topics and join walks,
-core.topics_witness and core.join_witness, serve the specification side
-too: subscribe/unsubscribe and join also touch *other* peers' nsubs maps,
-so the topics walk skips entries whenever key and subs agree, and the
-join walk compares keys only. Replay equality still decides every
-case, so no witness can produce a false positive.
+CASES is the one table of the seven step cases (STEP_KINDS is its
+order). Each row names its transition, a witness that reads the
+transition's arguments off the first difference of the two states
+(first_difference walks them in lock step), the arguments the exhaustive
+enumerator offers, and the trace event fields that carry them. The
+relation replays the named transition on the witness's arguments and
+demands exact equality; replay, the enumerator and the scenario parser
+read the same rows. A refused replay does not apply: the transition's
+ContractError guard is the one statement of when it is enabled. The
+produced message heads the pending set of the first changed entry; the
+forwarded message is the first one that some pending set lost (neighbors
+only gain messages), and forward's guard accepts the peer that lost it
+only if it is the first in key order to hold it. Subscription changes and
+joins also touch other peers' nsubs maps, so the topics walk skips entries
+whose key and subs agree and the join walk compares keys only; both serve
+the specification too. Replay equality still decides every case, so no
+witness admits a false step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .core import (
     CACHE_SIZE,
+    Case,
     ContractError,
     Message,
     PeerId,
     PeerMap,
+    SKIP,
     Topic,
     difference,
-    enabled,
     first_difference,
     insert_unique,
     is_ascending,
     join_witness,
+    left_peer,
     map_delete,
     map_get,
     map_set,
+    offer_peers,
+    offer_topics,
     ordered_set,
+    skip,  # the skip row's transition, looked up in this module like every other
+    step_tests,
+    subsets,
     topics_witness,
     union_sets,
 )
-
-STEP_KINDS = ("skip", "produce", "forward", "subscribe", "unsubscribe", "join", "leave")
 
 # topic -> ordered set of peers; entries with empty peer sets are dropped so
 # that equal maps are equal tuples.
@@ -265,11 +273,6 @@ def leave(p: PeerId, s: FloodState) -> FloodState:
     return s.without_peer(p)
 
 
-def _keeps_pending(a, b) -> bool:
-    """Entries a and b have one key and b's pending set keeps all of a's."""
-    return a == b or (a[0] == b[0] and not difference(a[1].pending, b[1].pending))
-
-
 def self_tracking_violations(s: FloodState) -> tuple[PeerId, ...]:
     """Peers that list themselves in their own nsubs map (invariant 1)."""
     return tuple(p for p, pst in s.entries if any(p in peers for _, peers in pst.nsubs))
@@ -292,69 +295,51 @@ def _holds_invariants(s: FloodState) -> bool:
     return not self_tracking_violations(s) and not unordered_seen_violations(s)
 
 
-# The seven step cases and their disjunction.
+# The seven step cases: one table, read by the relation, the enumerator, replay and the scenario parser.
 
 
-def is_skip_step(s: FloodState, u: FloodState) -> bool:
-    return u == s
-
-
-def is_produce_step(s: FloodState, u: FloodState) -> bool:
+def _produced(s: FloodState, u: FloodState) -> tuple[Message] | None:
     """The produced message heads the pending set of the first changed entry."""
     es, eu = s.entries, u.entries
     i = first_difference(es, eu)
     if i == len(es) or i == len(eu) or not eu[i][1].pending:
-        return False
-    return u == enabled(produce, eu[i][1].pending[0], s)
+        return None
+    return (eu[i][1].pending[0],)
 
 
-def is_forward_step(s: FloodState, u: FloodState) -> bool:
-    """The forwarded message is the first one that some pending set lost.
+def _forwarded(s: FloodState, u: FloodState) -> tuple[PeerId, Message] | None:
+    """The first peer whose pending set lost a message, and the first message it lost.
 
-    A forward only adds to its neighbors' pending sets, so the forwarder is
-    the one peer that loses a pending message; forward's guard accepts it or not.
+    The walk passes entries of one key whose pending set keeps all of s's. A
+    forward only adds to its neighbors' pending sets, so the forwarder is the
+    one peer that loses a pending message; forward's guard accepts it or not.
     """
     es, eu = s.entries, u.entries
-    i = first_difference(es, eu, _keeps_pending)
+    i = first_difference(es, eu, lambda a, b: a == b or (a[0] == b[0] and not difference(a[1].pending, b[1].pending)))
     if i == len(es) or i == len(eu) or es[i][0] != eu[i][0]:
-        return False
-    m = difference(es[i][1].pending, eu[i][1].pending)[0]
-    return u == enabled(forward, es[i][0], m, s)
+        return None
+    return es[i][0], difference(es[i][1].pending, eu[i][1].pending)[0]
 
 
-def is_subscribe_step(s: FloodState, u: FloodState) -> bool:
-    w = topics_witness(s, u)
-    return w is not None and u == enabled(subscribe, w[0], w[1], s)
-
-
-def is_unsubscribe_step(s: FloodState, u: FloodState) -> bool:
-    w = topics_witness(u, s)  # reversed: topics present in s but dropped in u
-    return w is not None and u == enabled(unsubscribe, w[0], w[1], s)
-
-
-def is_join_step(s: FloodState, u: FloodState) -> bool:
+def _joined(s: FloodState, u: FloodState) -> tuple | None:
+    """The joinee, its topic sets and, as its neighbours, the peers its nsubs map records."""
     w = join_witness(s, u)
-    if w is None:
-        return False
-    p, pst = w
-    # the witness's topic sets are ordered sets, which join's cached core takes as they are
-    return u == enabled(_join, p, pst.pubs, pst.subs, tracked_peers(pst.nsubs), s)
+    return None if w is None else (w[0], w[1].pubs, w[1].subs, tracked_peers(w[1].nsubs))
 
 
-def is_leave_step(s: FloodState, u: FloodState) -> bool:
-    w = join_witness(u, s)  # reversed: entry present in s but gone in u
-    return w is not None and u == enabled(leave, w[0], s)
-
-
-_STEP_TESTS = {
-    "skip": is_skip_step,
-    "produce": is_produce_step,
-    "forward": is_forward_step,
-    "subscribe": is_subscribe_step,
-    "unsubscribe": is_unsubscribe_step,
-    "join": is_join_step,
-    "leave": is_leave_step,
+CASES = {
+    "skip": SKIP,
+    "produce": Case("produce", _produced, lambda s, peers, topics, msgs: ((m,) for m in msgs), ("message",)),
+    "forward": Case("forward", _forwarded, lambda s, peers, topics, msgs: (
+        (p, m) for m in pending_messages(s) for p in s.keys()), ("peer", "message")),
+    "subscribe": Case("subscribe", topics_witness, offer_topics, ("peer", "topics")),
+    "unsubscribe": Case("unsubscribe", lambda s, u: topics_witness(u, s), offer_topics, ("peer", "topics")),
+    "join": Case("join", _joined, lambda s, peers, topics, msgs: product(
+        peers, subsets(topics), subsets(topics), subsets(s.keys())), ("peer", "pubs", "subs", "nbrs")),
+    "leave": Case("leave", left_peer, offer_peers, ("peer",)),
 }
+STEP_KINDS = tuple(CASES)
+_STEP_TESTS = step_tests(CASES, globals())
 
 
 def _possible_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:

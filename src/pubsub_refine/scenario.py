@@ -22,7 +22,7 @@ import json
 
 from . import flood_model as fn
 from .core import Message, is_ascending
-from .trace import EVENT_KINDS, TraceEvent
+from .trace import TraceEvent
 
 
 class ScenarioError(ValueError):
@@ -131,24 +131,15 @@ def parse_state(obj, path: str = "state") -> fn.FloodState:
     return fn.FloodState(tuple(entries))
 
 
-# kind -> (required fields, optional fields)
-_EVENT_FIELDS = {
-    "skip": (set(), set()),
-    "produce": ({"message"}, set()),
-    "forward": ({"message"}, {"peer"}),
-    "subscribe": ({"peer"}, {"topics"}),
-    "unsubscribe": ({"peer"}, {"topics"}),
-    "join": ({"peer"}, {"pubs", "subs", "nbrs"}),
-    "leave": ({"peer"}, set()),
-}
-
-
 def _parse_event(obj, index: int, path: str) -> TraceEvent:
     _require(isinstance(obj, dict), "event must be an object", path)
     kind = obj.get("kind")
-    _require(kind in EVENT_KINDS, f"unknown event kind {kind!r}", f"{path}.kind")
-    required, optional = _EVENT_FIELDS[kind]
-    extra = set(obj) - required - optional - {"kind", "index", "pre_digest", "post_digest"}
+    _require(kind in fn.STEP_KINDS, f"unknown event kind {kind!r}", f"{path}.kind")
+    taken = set(fn.CASES[kind].fields)  # the arguments of the kind's transition
+    # a peer and a message must be named, except a forward's peer (replay finds the designated
+    # forwarder); topic and neighbour sets default to empty
+    required = taken & ({"message"} if kind == "forward" else {"peer", "message"})
+    extra = set(obj) - taken - {"kind", "index", "pre_digest", "post_digest"}
     _require(not extra, f"fields {sorted(extra)} not allowed for kind {kind!r}", path)
     missing = required - set(obj)
     _require(not missing, f"fields {sorted(missing)} required for kind {kind!r}", path)

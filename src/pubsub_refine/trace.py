@@ -1,14 +1,18 @@
-"""Trace events, state digests, and deterministic replay."""
+"""Trace events, state digests, and deterministic replay.
+
+Replay reads the flood model's CASES table: an event's kind names its
+case, and the case names the transition and the event fields that are its
+arguments. A forward without a peer is the one rule of its own: it goes
+to the designated forwarder.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import flood_model as fn
 from .core import ContractError, Message, PeerId, Topic, canonical_json, memo
-
-EVENT_KINDS = fn.STEP_KINDS
 
 
 class TraceError(ValueError):
@@ -72,29 +76,17 @@ class TraceEvent:
 
 
 def apply_event(s: fn.FloodState, ev: TraceEvent) -> fn.FloodState:
-    """Apply one event by calling its transition, whose guard alone decides if it is enabled.
+    """Call the transition of the event's case on the event's argument fields; its guard alone decides if it is enabled.
 
     A forward without a peer goes to find_forwarder(s, m), the one peer forward's guard accepts.
     """
+    case = fn.CASES.get(ev.kind)
+    if case is None:
+        raise TraceError(f"step {ev.index} ({ev.kind}): unknown event kind {ev.kind!r}")
     try:
-        match ev.kind:
-            case "skip":
-                return s
-            case "produce":
-                return fn.produce(ev.message, s)
-            case "forward":
-                peer = fn.find_forwarder(s, ev.message) if ev.peer is None else ev.peer
-                return fn.forward(peer, ev.message, s)
-            case "subscribe":
-                return fn.subscribe(ev.peer, ev.topics, s)
-            case "unsubscribe":
-                return fn.unsubscribe(ev.peer, ev.topics, s)
-            case "join":
-                return fn.join(ev.peer, ev.pubs, ev.subs, ev.nbrs, s)
-            case "leave":
-                return fn.leave(ev.peer, s)
-            case _:  # every kind above returns
-                reason = f"unknown event kind {ev.kind!r}"
+        if ev.kind == "forward" and ev.peer is None:
+            ev = replace(ev, peer=fn.find_forwarder(s, ev.message))
+        return getattr(fn, case.transition)(*[getattr(ev, f) for f in case.fields], s)
     except ContractError as e:
         reason = e
     raise TraceError(f"step {ev.index} ({ev.kind}): {reason}")

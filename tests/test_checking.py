@@ -114,6 +114,24 @@ def test_non_good_state_is_a_counterexample_not_an_error():
     assert_unsound_counterexample(report, "pre-state violates good-state invariants at peers (1,)")
 
 
+A, B = sorted([M, Message("y", "t1", 1)])
+
+
+@pytest.mark.parametrize("entries, peers", [
+    ([(1, fn.FloodPeer(nsubs=(("t1", (1,)),), seen=(B, A)))], "(1,)"),
+    ([(1, fn.FloodPeer(seen=(B, A))), (2, fn.FloodPeer(nsubs=(("t1", (2,)),)))], "(1, 2)"),
+], ids=["one-peer-breaks-both", "key-order-across-invariants"])
+def test_offending_peers_are_listed_once_in_key_order(entries, peers):
+    # a peer that breaks both invariants is named once, and invariant-2
+    # peers are not listed after invariant-1 peers of higher keys
+    bad = flood(entries)
+    rec = check_step(0, bad, bad, "skip")
+    assert rec.soundness_issues == (
+        f"pre-state violates good-state invariants at peers {peers}",
+        f"post-state violates good-state invariants at peers {peers}",
+    )
+
+
 def test_unrelated_pair_is_a_counterexample():
     s = flood([(1, fn.FloodPeer())])
     u = flood([(2, fn.FloodPeer(seen=(M,)))])

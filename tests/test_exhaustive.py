@@ -10,7 +10,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
-from pubsub_refine.core import CHUNKS, ContractError, enabled, in_workers
+from pubsub_refine.core import CHUNKS, ContractError, enabled, in_workers, subsets
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
     BoundsError,
@@ -23,6 +23,7 @@ from pubsub_refine.exhaustive import (
     universe_pools,
 )
 from pubsub_refine.refinement import check_wfs1
+from pubsub_refine.trace import TraceError, TraceEvent, apply_event
 
 
 def test_trivial_bounds():
@@ -437,29 +438,52 @@ def _refuse(*args):
     raise ContractError("refused")
 
 
-@pytest.mark.parametrize("model, attr, kind, s, step, bounds", [
+@pytest.mark.parametrize("model, attr, kind, s, step, bounds, event", [
     (fn, "produce", "produce", fn.FloodState(((0, fn.FloodPeer(pubs=("t0",))),)),
-     lambda s: fn.produce(_M0, s), (1, 1, 1)),
+     lambda s: fn.produce(_M0, s), (1, 1, 1), TraceEvent(0, "produce", message=_M0)),
+    (fn, "forward", "forward", fn.FloodState(((0, fn.FloodPeer(pending=(_M0,))),)),
+     lambda s: fn.forward(0, _M0, s), (1, 1, 1), TraceEvent(0, "forward", peer=0, message=_M0)),
+    (fn, "subscribe", "subscribe", fn.FloodState(((0, fn.FloodPeer()),)),
+     lambda s: fn.subscribe(0, ("t0",), s), (1, 1, 0), TraceEvent(0, "subscribe", peer=0, topics=("t0",))),
+    (fn, "unsubscribe", "unsubscribe", fn.FloodState(((0, fn.FloodPeer(subs=("t0",))),)),
+     lambda s: fn.unsubscribe(0, ("t0",), s), (1, 1, 0), TraceEvent(0, "unsubscribe", peer=0, topics=("t0",))),
     (fn, "_join", "join", fn.FloodState(((0, fn.FloodPeer(subs=("t0",))),)),
-     lambda s: fn.join(1, (), ("t0",), (0,), s), (2, 1, 0)),
+     lambda s: fn.join(1, (), ("t0",), (0,), s), (2, 1, 0), TraceEvent(0, "join", peer=1, subs=("t0",), nbrs=(0,))),
     (fn, "leave", "leave", fn.FloodState(((0, fn.FloodPeer()),)),
-     lambda s: fn.leave(0, s), (1, 1, 0)),
+     lambda s: fn.leave(0, s), (1, 1, 0), TraceEvent(0, "leave", peer=0)),
     (bn, "broadcast", "broadcast", bn.BroadcastState(((0, bn.BroadcastPeer(pubs=("t0",))),)),
-     lambda s: bn.broadcast(_M0, s), (1, 1, 1)),
+     lambda s: bn.broadcast(_M0, s), (1, 1, 1), None),
     (bn, "broadcast_partial", "broadcast-partial", bn.BroadcastState(((0, bn.BroadcastPeer()),)),
-     lambda s: bn.broadcast_partial(_M0, (0,), s), (1, 1, 1)),
+     lambda s: bn.broadcast_partial(_M0, (0,), s), (1, 1, 1), None),
+    (bn, "subscribe", "subscribe", bn.BroadcastState(((0, bn.BroadcastPeer()),)),
+     lambda s: bn.subscribe(0, ("t0",), s), (1, 1, 0), None),
+    (bn, "unsubscribe", "unsubscribe", bn.BroadcastState(((0, bn.BroadcastPeer(subs=("t0",))),)),
+     lambda s: bn.unsubscribe(0, ("t0",), s), (1, 1, 0), None),
     (bn, "join", "join", bn.BroadcastState(),
-     lambda s: bn.join(0, ("t0",), (), s), (1, 1, 0)),
-], ids=["flood-produce", "flood-join", "flood-leave", "broadcast", "broadcast-partial", "broadcast-join"])
-def test_a_refusing_transition_disables_its_case_and_its_successors(monkeypatch, model, attr, kind, s, step, bounds):
+     lambda s: bn.join(0, ("t0",), (), s), (1, 1, 0), None),
+    (bn, "leave", "leave", bn.BroadcastState(((0, bn.BroadcastPeer()),)),
+     lambda s: bn.leave(0, s), (1, 1, 0), None),
+], ids=["flood-produce", "flood-forward", "flood-subscribe", "flood-unsubscribe", "flood-join", "flood-leave",
+        "broadcast", "broadcast-partial", "broadcast-subscribe", "broadcast-unsubscribe", "broadcast-join",
+        "broadcast-leave"])
+def test_a_refusing_transition_disables_its_case_and_its_successors(
+        monkeypatch, model, attr, kind, s, step, bounds, event):
+    # one rebinding at the module reaches every path: the relation's case,
+    # the enumerator and, for a flood kind, replay
     successors = flood_successors if model is fn else broadcast_successors
     pools = universe_pools(*bounds)
     u = step(s)
+    assert u != s
     assert model._STEP_TESTS[kind](s, u)
     assert (kind, u) in successors(s, *pools)
+    if event is not None:
+        assert apply_event(s, event) == u
     monkeypatch.setattr(model, attr, _refuse)
     assert not model._STEP_TESTS[kind](s, u)
     assert kind not in {k for k, _ in successors(s, *pools)}
+    if event is not None:
+        with pytest.raises(TraceError, match=rf"^step 0 \({kind}\): refused$"):
+            apply_event(s, event)
 
 
 def test_a_leave_that_allows_pending_is_a_step_and_a_successor(monkeypatch):
@@ -467,7 +491,7 @@ def test_a_leave_that_allows_pending_is_a_step_and_a_successor(monkeypatch):
     u = fn.FloodState()
     assert not fn.is_step(s, u)
     monkeypatch.setattr(fn, "leave", lambda p, s: s.without_peer(p))
-    assert fn.is_leave_step(s, u) and fn.is_step(s, u)
+    assert fn._STEP_TESTS["leave"](s, u) and fn.is_step(s, u)
     assert ("leave", u) in flood_successors(s, *universe_pools(1, 1, 1))
 
 
@@ -480,8 +504,8 @@ def _offers(model, s, peer_pool, topic_pool, msg_pool):
     in the universe.
     """
     peers = (*peer_pool, len(peer_pool))
-    topic_sets = list(exhaustive._subsets(topic_pool))
-    peer_sets = list(exhaustive._subsets(peers))
+    topic_sets = list(subsets(topic_pool))
+    peer_sets = list(subsets(peers))
     yield "skip", lambda s: s, (s,)
     for m in msg_pool:
         if model is fn:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
 from pubsub_refine.core import Message
 from pubsub_refine.flood_model import FloodPeer, FloodState
@@ -88,9 +89,41 @@ def test_rejects_unknown_event_kind():
     assert "events[0]" in str(err.value)
 
 
+# kind -> (required, optional) argument fields, as README's "Scenario format"
+# states them. They are written out, never read from the flood model's
+# table, so that an edit of the table cannot change the file format unseen.
+EVENT_ARGUMENTS = {
+    "skip": ((), ()),
+    "produce": (("message",), ()),
+    "forward": (("message",), ("peer",)),
+    "subscribe": (("peer",), ("topics",)),
+    "unsubscribe": (("peer",), ("topics",)),
+    "join": (("peer",), ("pubs", "subs", "nbrs")),
+    "leave": (("peer",), ()),
+}
+FIELD_VALUES = {"peer": 1, "message": MSG, "topics": ["t1"], "pubs": ["t1"], "subs": ["t2"], "nbrs": [2]}
+
+
 def test_rejects_misplaced_event_fields():
-    with pytest.raises(ScenarioError, match="not allowed"):
-        parse_scenario(doc(events=[{"kind": "leave", "peer": 1, "topics": ["t"]}]))
+    # every field a kind does not take is refused at its events[i] path,
+    # every field it requires is required there, and each optional one is
+    # accepted alone and together with the others
+    assert set(EVENT_ARGUMENTS) == set(fn.STEP_KINDS)
+    for kind, (required, optional) in EVENT_ARGUMENTS.items():
+        base = {"kind": kind, **{f: FIELD_VALUES[f] for f in required}}
+        for extra in ({}, *({f: FIELD_VALUES[f]} for f in optional), {f: FIELD_VALUES[f] for f in optional}):
+            _, (_, ev) = parse_scenario(doc(events=[{"kind": "skip"}, {**base, **extra}]))
+            assert ev.kind == kind and ev.index == 1
+            for f, value in {**base, **extra}.items():
+                if f != "kind":
+                    got = getattr(ev, f)
+                    assert (got.to_obj() if f == "message" else list(got) if isinstance(got, tuple) else got) == value
+        for f in set(FIELD_VALUES) - set(required) - set(optional):
+            with pytest.raises(ScenarioError, match=rf"^events\[1\]: fields \['{f}'\] not allowed for kind '{kind}'$"):
+                parse_scenario(doc(events=[{"kind": "skip"}, {**base, f: FIELD_VALUES[f]}]))
+        for f in required:
+            with pytest.raises(ScenarioError, match=rf"^events\[1\]: fields \['{f}'\] required for kind '{kind}'$"):
+                parse_scenario(doc(events=[{"kind": "skip"}, {k: v for k, v in base.items() if k != f}]))
 
 
 def test_rejects_invalid_json_with_location():

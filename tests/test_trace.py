@@ -6,12 +6,12 @@ from dataclasses import replace
 import pytest
 
 from pubsub_refine import flood_model as fn
-from pubsub_refine.core import Message, canonical_json
-from pubsub_refine.exhaustive import _subsets, enumerate_flood_states, flood_successors, universe_pools
+from pubsub_refine.core import Message, canonical_json, subsets
+from pubsub_refine.exhaustive import enumerate_flood_states, flood_successors, universe_pools
 from pubsub_refine.flood_model import FloodPeer, FloodState
 from pubsub_refine.generate import GeneratorConfig, gen_good_state
 from pubsub_refine.scenario import emit_scenario, parse_scenario
-from pubsub_refine.trace import EVENT_KINDS, TraceError, TraceEvent, apply_event, make_event, run_trace, state_digest
+from pubsub_refine.trace import TraceError, TraceEvent, apply_event, make_event, run_trace, state_digest
 
 M = Message("x", "t1", 1)
 
@@ -198,14 +198,14 @@ def _events(peer_pool, topic_pool, msg_pool):
         yield TraceEvent(0, "forward", message=m)
         for p in peer_pool:
             yield TraceEvent(0, "forward", peer=p, message=m)
-    topic_sets = list(_subsets(topic_pool))
+    topic_sets = list(subsets(topic_pool))
     for p in peer_pool:
         for topics in topic_sets:
             yield TraceEvent(0, "subscribe", peer=p, topics=topics)
             yield TraceEvent(0, "unsubscribe", peer=p, topics=topics)
         for pubs in topic_sets:
             for subs in topic_sets:
-                for nbrs in _subsets(peer_pool):  # the joinee itself included
+                for nbrs in subsets(peer_pool):  # the joinee itself included
                     yield TraceEvent(0, "join", peer=p, pubs=pubs, subs=subs, nbrs=nbrs)
         yield TraceEvent(0, "leave", peer=p)
 
@@ -228,4 +228,4 @@ def test_replay_accepts_exactly_the_enabled_events(bounds):
                 assert (ev.kind, u) in successors, ev
                 accepted.add(ev.kind)
     # neither outcome is vacuous for any kind
-    assert accepted == set(EVENT_KINDS) and refused == set(EVENT_KINDS) - {"skip"}
+    assert accepted == set(fn.STEP_KINDS) and refused == set(fn.STEP_KINDS) - {"skip"}
