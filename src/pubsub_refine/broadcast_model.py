@@ -74,12 +74,12 @@ def is_new_message(m: Message, s: BroadcastState) -> bool:
 def broadcast(m: Message, s: BroadcastState) -> BroadcastState:
     """Deliver m to every subscriber of its topic plus the origin, atomically."""
     if not is_new_message(m, s):
-        raise ContractError(f"broadcast: message {m} was already seen")
+        raise ContractError("broadcast: message {} was already seen", m)
     origin_st = s.get(m.origin)
     if origin_st is None:
-        raise ContractError(f"broadcast: origin {m.origin} not in state")
+        raise ContractError("broadcast: origin {} not in state", m.origin)
     if m.topic not in origin_st.pubs:
-        raise ContractError(f"broadcast: origin {m.origin} does not publish topic {m.topic!r}")
+        raise ContractError("broadcast: origin {} does not publish topic {!r}", m.origin, m.topic)
     receivers = tuple(p for p, pst in s.entries if m.topic in pst.subs or p == m.origin)
     return _deliver(m, receivers, s)
 
@@ -98,13 +98,13 @@ def broadcast_partial(m: Message, receivers: tuple[PeerId, ...], s: BroadcastSta
     receivers must be an ordered set (strictly ascending) of the state's keys.
     """
     if not is_new_message(m, s):
-        raise ContractError(f"broadcast-partial: message {m} was already seen")
+        raise ContractError("broadcast-partial: message {} was already seen", m)
     if not is_ascending(receivers):
-        raise ContractError(f"broadcast-partial: receivers {receivers} not strictly ascending")
+        raise ContractError("broadcast-partial: receivers {} not strictly ascending", receivers)
     keys = s.keys()
     missing = [p for p in receivers if p not in keys]
     if missing:
-        raise ContractError(f"broadcast-partial: receivers {missing} not in state")
+        raise ContractError("broadcast-partial: receivers {} not in state", missing)
     return _deliver(m, receivers, s)
 
 
@@ -117,7 +117,7 @@ def subscribe(p: PeerId, topics, s: BroadcastState) -> BroadcastState:
     """Add topics to p's subscriptions (set union, kept ordered)."""
     pst = s.get(p)
     if pst is None:
-        raise ContractError(f"subscribe: peer {p} not in state")
+        raise ContractError("subscribe: peer {} not in state", p)
     return s.with_peer(p, BroadcastPeer(pst.pubs, union_sets(pst.subs, ordered_set(topics)), pst.seen))
 
 
@@ -125,21 +125,21 @@ def unsubscribe(p: PeerId, topics, s: BroadcastState) -> BroadcastState:
     """Remove topics from p's subscriptions."""
     pst = s.get(p)
     if pst is None:
-        raise ContractError(f"unsubscribe: peer {p} not in state")
+        raise ContractError("unsubscribe: peer {} not in state", p)
     return s.with_peer(p, BroadcastPeer(pst.pubs, difference(pst.subs, topics), pst.seen))
 
 
 def join(p: PeerId, pubs, subs, s: BroadcastState) -> BroadcastState:
     """Insert a fresh peer with the given topic sets and empty seen."""
     if p in s:
-        raise ContractError(f"join: peer {p} already in state")
+        raise ContractError("join: peer {} already in state", p)
     return s.with_peer(p, BroadcastPeer(ordered_set(pubs), ordered_set(subs), ()))
 
 
 def leave(p: PeerId, s: BroadcastState) -> BroadcastState:
     """Remove p's entry."""
     if p not in s:
-        raise ContractError(f"leave: peer {p} not in state")
+        raise ContractError("leave: peer {} not in state", p)
     return s.without_peer(p)
 
 

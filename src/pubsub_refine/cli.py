@@ -5,7 +5,10 @@ found (a failed obligation or an unsound step, generated or replayed), 2
 for usage or input errors (an unwritable --report path, refused before
 any checking, and a run that checked nothing, which writes no report), 3
 for an internal error of the checker itself, so that 1 always means a
-counterexample.
+counterexample. main flushes standard output and error before it returns,
+so an output that cannot be written (a closed pipe) is an internal error
+too; entry, the process entry point, then leaves through os._exit without
+tearing the interpreter's heap down.
 """
 
 from __future__ import annotations
@@ -118,16 +121,34 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(args)
+        code = _run(args)
+        _flush(sys.stdout)  # a report that cannot be written fails here, not at exit
     except (BoundsError, NothingChecked) as e:  # refusals: bounds it cannot check, a run that checked nothing
-        return _usage_error(e)
+        code = _usage_error(e)
     except Exception as e:  # the CLI boundary: exit 1 must only ever mean a counterexample
         message = " ".join(str(e).splitlines())
         print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
-        return INTERNAL_ERROR
+        code = INTERNAL_ERROR
     finally:
         if collecting:
             gc.enable()
+    _flush(sys.stderr)
+    return code
+
+
+def _flush(stream):
+    if stream is not None:  # None when the process started without that descriptor
+        stream.flush()
+
+
+def entry():
+    """Run main on the command line and end the process with its exit code.
+
+    main has flushed both output streams, so os._exit loses nothing, and it
+    skips the interpreter's teardown of every cache and module, which would
+    take longer than checking a small scenario.
+    """
+    os._exit(main())
 
 
 def _usage_error(e) -> int:
@@ -168,4 +189,4 @@ def _run(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

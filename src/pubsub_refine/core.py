@@ -44,7 +44,16 @@ CHUNKS = 32
 
 
 class ContractError(ValueError):
-    """Raised when a transition function is applied outside its precondition."""
+    """Raised when a transition function is applied outside its precondition.
+
+    A guard passes a str.format template and its arguments, and the text is
+    formatted only when read: core.enabled swallows most refusals unread, and
+    formatting a Message's repr costs more than the test that refused it.
+    """
+
+    def __str__(self) -> str:
+        template, *args = self.args
+        return template.format(*args) if args else template
 
 
 def enabled(transition: Callable[..., T], *args) -> T | None:
@@ -84,11 +93,13 @@ class Message(NamedTuple):
 
 def is_ascending(x: Sequence) -> bool:
     """True iff x is strictly ascending (hence duplicate-free)."""
-    return all(a < b for a, b in zip(x, x[1:]))
+    return all(map(operator.lt, x, x[1:]))
 
 
 def ordered_set(items: Iterable[T]) -> tuple[T, ...]:
-    """Normalize any iterable into an ordered set (sorted, duplicates dropped)."""
+    """Normalize any iterable into an ordered set (sorted, duplicates dropped); an ordered set is returned as it is."""
+    if type(items) is tuple and is_ascending(items):
+        return items
     return tuple(sorted(set(items)))
 
 
@@ -155,12 +166,27 @@ def map_keys(entries: tuple[tuple[K, V], ...]) -> tuple[K, ...]:
     return tuple(k for k, _ in entries)
 
 
+_UNDECIDED = object()
+
+
 def memo(obj, fact: str, decide: Callable[..., T]) -> T:
-    """decide(obj), decided on the first call for this immutable object and kept in its __dict__."""
-    facts = obj.__dict__
-    if fact not in facts:
-        facts[fact] = decide(obj)
-    return facts[fact]
+    """decide(obj), decided on the first call for this immutable object and kept on it as attribute fact."""
+    value = getattr(obj, fact, _UNDECIDED)
+    if value is _UNDECIDED:
+        value = decide(obj)
+        keep(obj, fact, value)
+    return value
+
+
+def keep(obj, fact: str, value):
+    """Keep a decided fact on an immutable object, past a frozen dataclass's guard.
+
+    Set as an attribute, never through obj.__dict__: reading __dict__ moves
+    the object's fields out of their inline storage, and every field read
+    after that is slower (the all-pairs oracle reads peer fields a million
+    times).
+    """
+    object.__setattr__(obj, fact, value)
 
 
 @dataclass(frozen=True)
@@ -182,7 +208,7 @@ class PeerMap(Generic[V]):
     def __hash__(self) -> int:
         # every cache lookup hashes the state; hashing the entries would
         # rehash each nested peer state every time
-        return memo(self, "hash", _hash_entries)
+        return memo(self, "_hash", _hash_entries)
 
     memo = memo  # s.memo(fact, decide) is memo(s, fact, decide)
 

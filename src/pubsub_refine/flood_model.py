@@ -53,6 +53,7 @@ from .core import (
     insert_unique,
     is_ascending,
     join_witness,
+    keep,
     left_peer,
     map_delete,
     map_get,
@@ -114,10 +115,15 @@ def tracked_peers(nsubs: TopicPeers) -> tuple[PeerId, ...]:
     return ordered_set(q for _, peers in nsubs for q in peers)
 
 
+def pending_set(s: FloodState) -> frozenset[Message]:
+    """Union of all peers' pending sets, unordered: one C-level union, no sort."""
+    return frozenset().union(*[pst.pending for _, pst in s.entries])
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def pending_messages(s: FloodState) -> tuple[Message, ...]:
     """Ordered union of all peers' pending sets."""
-    return ordered_set(m for _, pst in s.entries for m in pst.pending)
+    return tuple(sorted(pending_set(s)))
 
 
 def is_new_message(m: Message, s: FloodState) -> bool:
@@ -135,12 +141,12 @@ def _add_pending(m: Message, pst: FloodPeer) -> FloodPeer:
 def produce(m: Message, s: FloodState) -> FloodState:
     """Place a new message in its origin's pending set."""
     if not is_new_message(m, s):
-        raise ContractError(f"produce: message {m} already pending or seen")
+        raise ContractError("produce: message {} already pending or seen", m)
     origin_st = s.get(m.origin)
     if origin_st is None:
-        raise ContractError(f"produce: origin {m.origin} not in state")
+        raise ContractError("produce: origin {} not in state", m.origin)
     if m.topic not in origin_st.pubs:
-        raise ContractError(f"produce: origin {m.origin} does not publish topic {m.topic!r}")
+        raise ContractError("produce: origin {} does not publish topic {!r}", m.origin, m.topic)
     return s.with_peer(m.origin, _add_pending(m, origin_st))
 
 
@@ -149,7 +155,7 @@ def find_forwarder(s: FloodState, m: Message) -> PeerId:
     for p, pst in s.entries:
         if m in pst.pending:
             return p
-    raise ContractError(f"find-forwarder: message {m} not pending anywhere")
+    raise ContractError("find-forwarder: message {} not pending anywhere", m)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -162,10 +168,10 @@ def forward(p: PeerId, m: Message, s: FloodState) -> FloodState:
     """
     pst = s.get(p)
     if pst is None:
-        raise ContractError(f"forward: peer {p} not in state")
+        raise ContractError("forward: peer {} not in state", p)
     forwarder = find_forwarder(s, m)
     if p != forwarder:
-        raise ContractError(f"forward: peer {p} is not the designated forwarder {forwarder}")
+        raise ContractError("forward: peer {} is not the designated forwarder {}", p, forwarder)
     targets = nsubs_topic(pst.nsubs, m.topic)
     forwarded = FloodPeer(
         pst.pubs,
@@ -212,7 +218,7 @@ def subscribe(p: PeerId, topics, s: FloodState) -> FloodState:
 def _subscribe(p: PeerId, topics: tuple[Topic, ...], s: FloodState) -> FloodState:
     pst = s.get(p)
     if pst is None:
-        raise ContractError(f"subscribe: peer {p} not in state")
+        raise ContractError("subscribe: peer {} not in state", p)
     added = tuple(tp for tp in topics if tp not in pst.subs)
     if not added:
         return s
@@ -229,7 +235,7 @@ def unsubscribe(p: PeerId, topics, s: FloodState) -> FloodState:
 def _unsubscribe(p: PeerId, topics: tuple[Topic, ...], s: FloodState) -> FloodState:
     pst = s.get(p)
     if pst is None:
-        raise ContractError(f"unsubscribe: peer {p} not in state")
+        raise ContractError("unsubscribe: peer {} not in state", p)
     removed = tuple(tp for tp in topics if tp in pst.subs)
     if not removed:
         return s
@@ -252,9 +258,9 @@ def join(p: PeerId, pubs, subs, nbrs, s: FloodState) -> FloodState:
 @lru_cache(maxsize=CACHE_SIZE)
 def _join(p, pubs, subs, nbrs, s: FloodState) -> FloodState:
     if p in s:
-        raise ContractError(f"join: peer {p} already in state")
+        raise ContractError("join: peer {} already in state", p)
     if p in nbrs:
-        raise ContractError(f"join: peer {p} listed among its own neighbors")
+        raise ContractError("join: peer {} listed among its own neighbors", p)
     visible = tuple(q for q in nbrs if q in s and s.get(q).subs)
     nsubs: TopicPeers = ()
     for q in visible:
@@ -267,9 +273,9 @@ def leave(p: PeerId, s: FloodState) -> FloodState:
     """Remove p, whose pending set must be empty; other nsubs maps keep stale references to p."""
     pst = s.get(p)
     if pst is None:
-        raise ContractError(f"leave: peer {p} not in state")
+        raise ContractError("leave: peer {} not in state", p)
     if pst.pending:
-        raise ContractError(f"leave: peer {p} still has pending messages")
+        raise ContractError("leave: peer {} still has pending messages", p)
     return s.without_peer(p)
 
 
@@ -287,12 +293,27 @@ def is_good_state(s: FloodState) -> bool:
     """Both invariants hold: no self-tracking nsubs entry, all seen sets ordered.
 
     Decided once per state object; every check of a step asks it again.
+    Each entry's part is decided once per (peer object, key) and kept on
+    the peer, so a step decides only the peers its transition replaced.
     """
-    return s.memo("good", _holds_invariants)
+    return s.memo("_good", _holds_invariants)
 
 
 def _holds_invariants(s: FloodState) -> bool:
-    return not self_tracking_violations(s) and not unordered_seen_violations(s)
+    return all([_good_entry(p, pst) for p, pst in s.entries])
+
+
+def _good_entry(p: PeerId, pst: FloodPeer) -> bool:
+    """Both invariants at the entry (p, pst), kept on pst with the key it was decided under."""
+    kept = getattr(pst, "_good_at", None)
+    if kept is None or kept[0] != p:
+        kept = (p, _holds_at(p, pst))
+        keep(pst, "_good_at", kept)
+    return kept[1]
+
+
+def _holds_at(p: PeerId, pst: FloodPeer) -> bool:
+    return not any(p in peers for _, peers in pst.nsubs) and is_ascending(pst.seen)
 
 
 # The seven step cases: one table, read by the relation, the enumerator, replay and the scenario parser.

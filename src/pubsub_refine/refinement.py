@@ -31,7 +31,7 @@ from typing import NamedTuple, Union
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import CACHE_SIZE, difference
+from .core import CACHE_SIZE, keep
 
 Borf = Union[bn.BroadcastState, fn.FloodState]
 
@@ -39,13 +39,26 @@ Borf = Union[bn.BroadcastState, fn.FloodState]
 @lru_cache(maxsize=CACHE_SIZE)
 def refinement_map(s: fn.FloodState) -> bn.BroadcastState:
     """View a flood state as a broadcast state (the commitment map)."""
-    hidden = fn.pending_messages(s)
-    return bn.BroadcastState(
-        tuple(
-            (p, bn.BroadcastPeer(pst.pubs, pst.subs, difference(pst.seen, hidden)))
-            for p, pst in s.entries
-        )
-    )
+    hidden = fn.pending_set(s)
+    return bn.BroadcastState(tuple((p, _image(pst, hidden)) for p, pst in s.entries))
+
+
+def _image(pst: fn.FloodPeer, hidden: frozenset) -> bn.BroadcastPeer:
+    """pst's broadcast peer: its seen set without the hidden messages.
+
+    Kept on pst with the hidden set it was built for and reused while the
+    state's hidden set equals it, so a step rebuilds only the peers it
+    replaced unless it changed which messages are pending. A rebuilt image
+    whose seen set did not change is the kept object again: a produce hides
+    only a new message, which no seen set holds.
+    """
+    kept = getattr(pst, "_image", None)
+    if kept is not None and kept[0] == hidden:
+        return kept[1]
+    seen = tuple(m for m in pst.seen if m not in hidden)
+    image = kept[1] if kept is not None and kept[1].seen == seen else bn.BroadcastPeer(pst.pubs, pst.subs, seen)
+    keep(pst, "_image", (hidden, image))
+    return image
 
 
 def label(x: Borf) -> bn.BroadcastState:

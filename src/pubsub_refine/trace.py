@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 from . import flood_model as fn
-from .core import ContractError, Message, PeerId, Topic, canonical_json, memo
+from .core import CACHE_SIZE, ContractError, Message, PeerId, Topic, canonical_json, memo
 
 
 class TraceError(ValueError):
@@ -25,20 +26,44 @@ def state_digest(s) -> str:
     A replayed trace digests each state as the post-state of one step and
     again as the pre-state of the next. Each peer is encoded once per peer
     object and shared by the states that hold it, so a step re-encodes only
-    the peers its transition replaced.
+    the peers its transition replaced. A re-encoded peer joins texts from
+    two tables bounded by CACHE_SIZE: message_json's, one per message, and
+    _topic_fields_json's, one per (nsubs, pubs, subs); so no message and no
+    topic map is encoded twice while its table holds it.
     """
-    return s.memo("digest", _digest)
+    return s.memo("_digest", _digest)
 
 
 def _digest(s) -> str:
-    # exactly canonical_json(s.to_obj()): its keys sort as strings, so peer 10 precedes peer 2
-    peers = sorted((str(p), memo(pst, "json", _peer_json)) for p, pst in s.entries)
-    text = '{"peers":{' + ",".join(f'"{p}":{obj}' for p, obj in peers) + "}}"
+    # exactly canonical_json(s.to_obj()): its keys sort as strings, so peer 10 precedes peer 2; an entry's
+    # text opens with its key's digits after one quote, and any digit sorts after the closing quote, so
+    # the entry texts sort as their keys do
+    entries = sorted([f'"{p}":{memo(pst, "_json", _peer_json)}' for p, pst in s.entries])
+    text = '{"peers":{' + ",".join(entries) + "}}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def message_json(m: Message) -> str:
+    """canonical_json(m.to_obj()), encoded once while the table holds m.
+
+    A message sits in the pending and seen sets of many peer objects, and a
+    NamedTuple has no __dict__ to keep its text on.
+    """
+    return canonical_json(m.to_obj())
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _topic_fields_json(nsubs, pubs, subs) -> tuple[str, str, str]:
+    """The canonical JSON of a peer's three topic fields, which its transitions rarely change."""
+    return canonical_json(dict(nsubs)), canonical_json(pubs), canonical_json(subs)
+
+
 def _peer_json(pst) -> str:
-    return canonical_json(pst.to_obj())
+    # exactly canonical_json(pst.to_obj()): its keys in sorted order, each value's text from a table
+    nsubs, pubs, subs = _topic_fields_json(pst.nsubs, pst.pubs, pst.subs)
+    pending, seen = ",".join(map(message_json, pst.pending)), ",".join(map(message_json, pst.seen))
+    return f'{{"nsubs":{nsubs},"pending":[{pending}],"pubs":{pubs},"seen":[{seen}],"subs":{subs}}}'
 
 
 @dataclass(frozen=True)

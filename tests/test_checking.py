@@ -204,17 +204,19 @@ def test_check_step_classifies_a_forward_once(monkeypatch, receiver, match):
 
 def test_check_step_decides_each_state_good_once(monkeypatch):
     s = flood([(1, fn.FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),), pending=(M,))), (2, fn.FloodPeer(seen=(M,)))])
-    u = flood(fn.forward(1, M, s).entries)  # a fresh object, with nothing decided on it yet
+    # fresh state and peer objects, with nothing decided on them yet (forward's cache may hold older ones)
+    u = flood((p, replace(pst)) for p, pst in fn.forward(1, M, s).entries)
     decided = Counter()
 
-    def counting(x, _f=fn.self_tracking_violations):
-        decided[x] += 1
-        return _f(x)
+    def counting(p, pst, _f=fn._holds_at):
+        decided[p, id(pst)] += 1
+        return _f(p, pst)
 
-    monkeypatch.setattr(fn, "self_tracking_violations", counting)
+    monkeypatch.setattr(fn, "_holds_at", counting)
     rec = check_step(0, s, u, "forward")
     assert rec.sound and all(v.passed for v in rec.verdicts)
-    assert set(decided) <= {s, u}
+    # each (peer object, key) of both states decided once: u shares no peer object with s here
+    assert set(decided) == {(p, id(pst)) for x in (s, u) for p, pst in x.entries}
     assert max(decided.values()) == 1
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -428,3 +429,65 @@ def test_the_cli_starts_without_loading_a_process_pool():
     env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+# The process entry: python -m pubsub_refine.cli and the pubsub-refine script both run cli.entry, which
+# ends the process with os._exit once main has flushed its output; each spawn must keep its exit code.
+
+
+def spawn(args, cwd, stdout=subprocess.PIPE):
+    env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
+    return subprocess.run([sys.executable, "-m", "pubsub_refine.cli", *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def without_elapsed(text: str) -> str:
+    report = json.loads(text)
+    report["elapsed_seconds"] = 0
+    return canonical_json(report) + "\n"
+
+
+def test_a_spawned_run_writes_the_bytes_main_writes(tmp_path):
+    done = spawn(["run", str(FIGURE1), "--report", "spawned.json"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "PASS: 6 steps, 18 checks, 0 failed, 0 unsound\n")
+    assert main(["run", str(FIGURE1), "--report", str(tmp_path / "in-process.json")]) == 0
+    spawned, in_process = ((tmp_path / name).read_text() for name in ("spawned.json", "in-process.json"))
+    assert spawned.endswith("}\n") and without_elapsed(spawned) == without_elapsed(in_process)
+    assert spawned == canonical_json(json.loads(spawned)) + "\n"
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["mutate", "--fault", "drop-receiver"], 1, "FAIL: "),
+    (["run", "missing.json"], 2, "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+])
+def test_a_spawned_command_keeps_its_exit_code(args, code, err, tmp_path):
+    done = spawn(args, tmp_path)
+    assert done.returncode == code and done.stderr.startswith(err)
+
+
+def test_a_report_that_cannot_be_written_to_a_closed_pipe_is_an_internal_error(tmp_path):
+    r, w = os.pipe()
+    os.close(r)  # nobody reads: every write to w fails with EPIPE
+    try:
+        done = spawn(["enumerate", "--peers", "1", "--topics", "1", "--messages", "1"], tmp_path, stdout=w)
+    finally:
+        os.close(w)
+    assert done.returncode == 3
+    assert done.stderr == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+def test_a_spawn_without_a_standard_output_still_writes_its_report(tmp_path):
+    # a process started with descriptor 1 closed has sys.stdout None; the flush must not fail on it
+    env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
+    done = subprocess.run([sys.executable, "-m", "pubsub_refine.cli", "run", str(FIGURE1), "--report", "r.json"],
+                          cwd=tmp_path, env=env, stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (0, "PASS: 6 steps, 18 checks, 0 failed, 0 unsound\n")
+    assert json.loads((tmp_path / "r.json").read_text())["totals"]["steps"] == 6
+
+
+def test_the_console_script_runs_the_module_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert 'pubsub-refine = "pubsub_refine.cli:entry"\n' in pyproject
+    source = Path(cli.__file__).read_text()
+    assert source.endswith('\nif __name__ == "__main__":\n    entry()\n')

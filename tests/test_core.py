@@ -184,3 +184,56 @@ def test_kept_facts_are_invisible():
     assert s == fresh and fresh == s
     assert s.memo("probe", lambda x: 0) == 42  # decided once
 
+
+
+@given(st.lists(st.integers(-5, 5), max_size=8))
+def test_ordered_set_returns_an_ordered_set_as_it_is(items):
+    normalized = ordered_set(items)
+    assert normalized == tuple(sorted(set(items)))
+    assert ordered_set(normalized) is normalized
+    assert ordered_set(tuple(items)) == normalized
+
+
+def test_a_refusal_is_formatted_only_when_read():
+    class Loud(Message):
+        def __repr__(self):
+            raise AssertionError("formatted")
+
+    m = Loud("loud", "t1", 1)
+    produced = fn.produce(m, fn.FloodState(((1, fn.FloodPeer(pubs=("t1",))),)))
+    assert core.enabled(fn.produce, m, produced) is None  # refused as already pending, its text never built
+
+
+def test_every_refusal_reads_as_it_always_has():
+    m = Message("x", "t1", 1)
+    s = fn.FloodState(((1, fn.FloodPeer(pubs=("t1",), nsubs=(("t1", (2,)),))), (2, fn.FloodPeer(subs=("t1",)))))
+    produced = fn.produce(m, s)
+    w = bn.BroadcastState(((1, bn.BroadcastPeer(pubs=("t1",), seen=(m,))),))
+    refusals = [
+        (lambda: fn.produce(m, produced), "produce: message Message(payload='x', topic='t1', origin=1) "
+                                          "already pending or seen"),
+        (lambda: fn.produce(Message("x", "t1", 7), s), "produce: origin 7 not in state"),
+        (lambda: fn.produce(Message("x", "t'2", 1), s), "produce: origin 1 does not publish topic \"t'2\""),
+        (lambda: fn.forward(2, m, produced), "forward: peer 2 is not the designated forwarder 1"),
+        (lambda: fn.forward(9, m, produced), "forward: peer 9 not in state"),
+        (lambda: fn.find_forwarder(s, m), "find-forwarder: message Message(payload='x', topic='t1', origin=1) "
+                                          "not pending anywhere"),
+        (lambda: fn.join(1, (), (), (), s), "join: peer 1 already in state"),
+        (lambda: fn.join(3, (), (), (3,), s), "join: peer 3 listed among its own neighbors"),
+        (lambda: fn.leave(1, produced), "leave: peer 1 still has pending messages"),
+        (lambda: fn.subscribe(9, ("t1",), s), "subscribe: peer 9 not in state"),
+        (lambda: bn.broadcast(m, w),
+         "broadcast: message Message(payload='x', topic='t1', origin=1) was already seen"),
+        (lambda: bn.broadcast_partial(Message("y", "t1", 1), (2, 1), w),
+         "broadcast-partial: receivers (2, 1) not strictly ascending"),
+        (lambda: bn.broadcast_partial(Message("y", "t1", 1), (1, 4), w),
+         "broadcast-partial: receivers [4] not in state"),
+    ]
+    for refuse, text in refusals:
+        try:
+            refuse()
+        except core.ContractError as e:
+            assert str(e) == text
+        else:
+            raise AssertionError(f"not refused: {text}")
+    assert str(core.ContractError("planted {}")) == "planted {}"  # a text without arguments is not formatted

@@ -92,12 +92,14 @@ def test_match_sequence_and_final_receivers():
 def test_replay_serializes_each_state_at_most_once(monkeypatch):
     s0, events = load()
     assert all(ev.pre_digest and ev.post_digest for ev in events)
-    serialized = []
-
-    def counting(obj, _f=trace.canonical_json):
-        serialized.append(obj)
-        return _f(obj)
-
-    monkeypatch.setattr(trace, "canonical_json", counting)
+    calls = {"_digest": [], "_peer_json": []}
+    for name, made in calls.items():
+        monkeypatch.setattr(trace, name, lambda x, _f=getattr(trace, name), _made=made: _made.append(x) or _f(x))
+    trace.message_json.cache_clear()
     states = run_trace(s0, events)
-    assert len(serialized) <= len({id(x) for x in states})
+    peers = [pst for s in states for _, pst in s.entries]
+    messages = {m for pst in peers for m in pst.pending + pst.seen}
+    # each state hashed once, each peer object encoded once, each message encoded once
+    assert len(calls["_digest"]) <= len({id(x) for x in states})
+    assert len(calls["_peer_json"]) == len({id(pst) for pst in calls["_peer_json"]}) <= len({id(p) for p in peers})
+    assert trace.message_json.cache_info().misses <= len(messages)

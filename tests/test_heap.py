@@ -19,6 +19,7 @@ import pytest
 
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
+from pubsub_refine import trace
 from pubsub_refine.checking import StepRecord
 from pubsub_refine.core import CACHE_SIZE
 from pubsub_refine.exhaustive import run_exhaustive
@@ -28,7 +29,7 @@ from pubsub_refine.refinement import WfsVerdict, refinement_map
 from pubsub_refine.runner import fuzz_run, scenario_run
 
 CACHES = (fn.pending_messages, fn.produce, fn.forward, fn._subscribe, fn._unsubscribe, fn._join,
-          refinement_map)
+          refinement_map, trace.message_json, trace._topic_fields_json)
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
 
 
@@ -91,6 +92,8 @@ def test_every_cache_is_bounded_and_keeps_the_replay_hit(monkeypatch):
         cache.cache_clear()
     kinds = Counter(json.loads(text)["kind"] for text in _fuzz(50, seed=101).steps)
     assert kinds["produce"] and kinds["forward"]
+    scenario_run(FIGURE1)  # a replay digests, and fills the digest tables
+    assert trace.message_json.cache_info().currsize and trace._topic_fields_json.cache_info().currsize
     # the event applies the transition once and the step check replays it
     assert fn.produce.cache_info().hits >= kinds["produce"]
     assert fn.forward.cache_info().hits >= kinds["forward"]

@@ -1,6 +1,11 @@
+import hashlib
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from pubsub_refine import broadcast_model as bn
 from pubsub_refine import flood_model as fn
-from pubsub_refine.core import Message, difference
+from pubsub_refine.core import Message, canonical_json, difference
 from pubsub_refine.refinement import (
     check_wfs1,
     check_wfs2,
@@ -12,6 +17,7 @@ from pubsub_refine.refinement import (
     related,
     wf_related,
 )
+from pubsub_refine.trace import state_digest
 
 M = Message("x", "t1", 1)
 M2 = Message("y", "t1", 2)
@@ -236,3 +242,45 @@ def test_verdict_repr_and_equality_name_every_field():
                        "witness=None, diagnostics='', match=None)")
     assert v == WfsVerdict("WFS1", True, applicable=True) and hash(v) == hash(WfsVerdict("WFS1", True))
     assert v != WfsVerdict("WFS1", True, match="skip")
+
+
+# States that share one peer object: under two keys, and beside peers whose
+# pending sets give two different hidden sets. Whatever a state's digest, image
+# or goodness keeps on a peer must serve every state that holds it.
+messages = st.builds(Message, st.sampled_from("abc"), st.sampled_from(("t1", "t2")), st.integers(1, 3))
+message_lists = st.lists(messages, unique=True, max_size=4)
+peers = st.builds(
+    fpeer,
+    pubs=st.sampled_from([(), ("t1",), ("t1", "t2")]),
+    subs=st.sampled_from([(), ("t2",)]),
+    nsubs=st.dictionaries(st.sampled_from(("t1", "t2")), st.lists(st.integers(1, 4), unique=True).map(sorted)),
+    pending=message_lists,
+    seen=st.lists(messages, max_size=4),  # any order: a seen set out of order is a bad state
+)
+
+
+def sha256_of_the_whole_state(s):
+    return hashlib.sha256(canonical_json(s.to_obj()).encode("utf-8")).hexdigest()
+
+
+def image_by_definition(s):
+    hidden = {m for _, pst in s.entries for m in pst.pending}
+    return bn.BroadcastState(tuple(
+        (p, bn.BroadcastPeer(pst.pubs, pst.subs, tuple(m for m in pst.seen if m not in hidden)))
+        for p, pst in s.entries))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shared=peers, keys=st.lists(st.integers(1, 4), min_size=3, max_size=3, unique=True),
+       other=peers, hidden=message_lists)
+def test_facts_kept_on_a_shared_peer_serve_every_state_that_holds_it(shared, keys, other, hidden):
+    a, b, c = keys
+    widened = fn.FloodPeer(other.pubs, other.subs, other.nsubs, tuple(m for m in hidden if m not in other.seen),
+                           other.seen)
+    assume(set(widened.pending) - set(other.pending) - set(shared.pending))
+    states = [fstate(**{str(a): shared}), fstate(**{str(b): shared}), fstate(**{str(a): shared, str(b): shared}),
+              fstate(**{str(a): shared, str(c): other}), fstate(**{str(a): shared, str(c): widened})]
+    for s in states:
+        assert state_digest(s) == sha256_of_the_whole_state(s)
+        assert refinement_map(s) == image_by_definition(s)
+        assert fn.is_good_state(s) == (not fn.self_tracking_violations(s) and not fn.unordered_seen_violations(s))

@@ -8,7 +8,9 @@ deliberate format change updates each hash it moves to its new exact value.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from pubsub_refine.cli import main
 from pubsub_refine.faults import FAULTS
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
+RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 FUZZ = ["fuzz", "--traces", "40", "--steps", "12", "--max-peers", "6",
         "--max-topics", "3", "--max-messages", "4", "--seed", "7070"]
@@ -45,6 +48,7 @@ ENUMERATIONS = {
     (1, 1, 1): "50a663ed111669ec9074821b79ecc3c41bb762f40d184e7c95ee8d268193f899",
     (1, 1, 2): "8547aed2cb63527a17854b5eb0c9f546c266bb32973863c73ce1d096c9b6165c",
 }
+DEEP_PENDING = "60c3d325965f06b995829625eb4d93425a26b961e36e4694fdef63822e2c3ec9"
 
 
 def _fingerprint(obj) -> str:
@@ -68,6 +72,27 @@ def test_enumerate_report_fingerprint(bounds, capsys):
     peers, topics, messages = map(str, bounds)
     assert main(["enumerate", "--peers", peers, "--topics", topics, "--messages", messages]) == 0
     assert _fingerprint(json.loads(capsys.readouterr().out)) == ENUMERATIONS[bounds]
+
+
+def _deep_pending_scenario(seed: int, events: int) -> dict:
+    """The benchmark's replay input, built by perfbench/run.py's own encoder."""
+    name = "perfbench_run"
+    spec = importlib.util.spec_from_file_location(name, RUN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+        return module.deep_pending_scenario(seed, events=events)
+    finally:
+        del sys.modules[name]
+
+
+def test_deep_pending_replay_report_fingerprint(tmp_path):
+    # the replay-deep-pending input at seed 1: pending sets of about 50 messages per peer
+    scenario, path = tmp_path / "deep-pending.json", tmp_path / "report.json"
+    scenario.write_text(json.dumps(_deep_pending_scenario(1, events=300)))
+    assert main(["run", str(scenario), "--report", str(path)]) == 0
+    assert _fingerprint(json.loads(path.read_text())) == DEEP_PENDING
 
 
 def test_every_fault_is_fingerprinted():

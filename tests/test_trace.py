@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from pubsub_refine import flood_model as fn
+from pubsub_refine import trace
 from pubsub_refine.core import Message, canonical_json, subsets
 from pubsub_refine.exhaustive import enumerate_flood_states, flood_successors, universe_pools
 from pubsub_refine.flood_model import FloodPeer, FloodState
@@ -78,8 +79,9 @@ def test_a_step_reencodes_only_the_peers_it_replaced(monkeypatch):
         )
     )
     encoded = []
-    to_obj = FloodPeer.to_obj
-    monkeypatch.setattr(FloodPeer, "to_obj", lambda pst: encoded.append(pst) or to_obj(pst))
+    peer_json = trace._peer_json
+    monkeypatch.setattr(trace, "_peer_json", lambda pst: encoded.append(pst) or peer_json(pst))
+    trace.message_json.cache_clear()
     state_digest(s)
     assert len(encoded) == 3
     produced = fn.produce(m, s)
@@ -91,6 +93,8 @@ def test_a_step_reencodes_only_the_peers_it_replaced(monkeypatch):
     state_digest(forwarded)
     assert encoded == [forwarded.get(1), forwarded.get(2)]
     assert forwarded.get(3) is s.get(3)
+    # m entered three encoded peers (1's pending, then 1's seen and 2's pending) and was encoded once
+    assert trace.message_json.cache_info().misses == 1
 
 
 def test_a_digested_peer_equals_an_undigested_one():
