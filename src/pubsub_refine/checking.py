@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 
 from . import flood_model as fn
-from .core import canonical_json, ordered_set
+from .core import Refused, canonical_json, ordered_set
 from .refinement import WfsVerdict, check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -58,7 +58,7 @@ class StepRecord:
         return obj
 
 
-class NothingChecked(ValueError):
+class NothingChecked(Refused):
     """A run that checked nothing, such as one whose steps never moved the flood state: it neither passes nor fails."""
 
 

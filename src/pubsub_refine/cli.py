@@ -2,13 +2,13 @@
 
 Exit codes: 0 when every obligation passes, 1 when a counterexample was
 found (a failed obligation or an unsound step, generated or replayed), 2
-for usage or input errors (an unwritable --report path, refused before
-any checking, and a run that checked nothing, which writes no report), 3
-for an internal error of the checker itself, so that 1 always means a
-counterexample. main flushes standard output and error before it returns,
-so an output that cannot be written (a closed pipe) is an internal error
-too; entry, the process entry point, then leaves through os._exit without
-tearing the interpreter's heap down.
+for input the checker refuses (core.Refused, such as an unwritable
+--report path, refused before any checking, or a run that checked
+nothing, which writes no report), 3 for an internal error of the checker
+itself, so that 1 always means a counterexample. main alone decides the
+code. It flushes standard output, so a report that cannot be written is
+an internal error too; standard error is advisory and decides nothing.
+entry then leaves through os._exit without tearing the heap down.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ import os
 import sys
 import time
 
-from .checking import NothingChecked, emit_report
-from .exhaustive import BoundsError, run_exhaustive
+from .checking import emit_report
+from .core import Refused
+from .exhaustive import run_exhaustive
 from .faults import FAULTS, run_fault
 from .generate import GeneratorConfig, default_weights
 from .runner import fuzz_run, scenario_run
-from .scenario import ScenarioError
-from .trace import TraceError
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -33,14 +32,14 @@ INTERNAL_ERROR = 3
 
 def _parse_weights(raw: str) -> dict[str, float]:
     weights = default_weights()
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(f"weight {item!r} is not of the form kind=value")
-        kind, value = item.split("=", 1)
-        weights[kind.strip()] = float(value)
+    for item in filter(None, map(str.strip, raw.split(","))):
+        kind, eq, value = item.partition("=")
+        if not eq:
+            raise Refused(f"weight {item!r} is not of the form kind=value")
+        try:
+            weights[kind.strip()] = float(value)
+        except ValueError as e:
+            raise Refused(str(e)) from e
     return weights
 
 
@@ -122,69 +121,64 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         code = _run(args)
-        _flush(sys.stdout)  # a report that cannot be written fails here, not at exit
-    except (BoundsError, NothingChecked) as e:  # refusals: bounds it cannot check, a run that checked nothing
-        code = _usage_error(e)
+        if sys.stdout is not None:  # None when the process started without descriptor 1
+            sys.stdout.flush()  # a report that cannot be written fails here, not at exit
+    except Refused as e:
+        _say(f"error: {e}")
+        code = USAGE_ERROR
     except Exception as e:  # the CLI boundary: exit 1 must only ever mean a counterexample
         message = " ".join(str(e).splitlines())
-        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        _say(f"internal error: {type(e).__name__}: {message}")
         code = INTERNAL_ERROR
     finally:
         if collecting:
             gc.enable()
-    _flush(sys.stderr)
     return code
 
 
-def _flush(stream):
-    if stream is not None:  # None when the process started without that descriptor
-        stream.flush()
+def _say(line: str):
+    """Write one line to standard error, which is advisory: a line that cannot be written is dropped."""
+    if sys.stderr is not None:  # None when the process started without descriptor 2
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:  # nobody reads it, as when its pipe is closed
+            pass
 
 
 def entry():
     """Run main on the command line and end the process with its exit code.
 
-    main has flushed both output streams, so os._exit loses nothing, and it
+    main has flushed standard output, and each line of standard error as it
+    wrote it, so os._exit loses nothing that could be written, and it
     skips the interpreter's teardown of every cache and module, which would
     take longer than checking a small scenario.
     """
     os._exit(main())
 
 
-def _usage_error(e) -> int:
-    print(f"error: {e}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def _run(args) -> int:
     path = getattr(args, "report", None)
     problem = path is not None and _unwritable(path)
     if problem:
-        return _usage_error(f"cannot write report {path!r}: {problem}")
+        raise Refused(f"cannot write report {path!r}: {problem}")
 
     start = time.monotonic()
     if args.command == "enumerate":
         report = run_exhaustive(args.peers, args.topics, args.messages, cap=args.cap)
     elif args.command == "fuzz":
-        try:
-            cfg = GeneratorConfig(max_peers=args.max_peers, max_topics=args.max_topics,
-                                  max_messages=args.max_messages, steps=args.steps, seed=args.seed,
-                                  weights=_parse_weights(args.weights), static=args.static)
-        except ValueError as e:
-            return _usage_error(e)
+        cfg = GeneratorConfig(max_peers=args.max_peers, max_topics=args.max_topics,
+                              max_messages=args.max_messages, steps=args.steps, seed=args.seed,
+                              weights=_parse_weights(args.weights), static=args.static)
         report = fuzz_run(cfg, traces=args.traces)
     elif args.command == "run":
-        try:
-            report = scenario_run(args.scenario)
-        except (ScenarioError, TraceError, OSError) as e:
-            return _usage_error(e)
+        report = scenario_run(args.scenario)
     else:
         report = run_fault(args.fault)
     report.elapsed_seconds = time.monotonic() - start
     ok = report.ok  # read first: a run that checked nothing raises here and writes no report
     _write_report(report, path)
     if args.command != "enumerate":
-        print(_summarize(report), file=sys.stderr)
+        _say(_summarize(report))
     return 0 if ok else 1
 
 

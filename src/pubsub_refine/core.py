@@ -43,6 +43,10 @@ CACHE_SIZE = 256
 CHUNKS = 32
 
 
+class Refused(ValueError):
+    """Input the checker will not check; cli.main alone maps it to exit 2, and any other exception to exit 3."""
+
+
 class ContractError(ValueError):
     """Raised when a transition function is applied outside its precondition.
 

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import broadcast_model as bn
 from . import flood_model as fn
-from .core import Message, enabled, in_workers, subsets
+from .core import Message, Refused, enabled, in_workers, subsets
 from .refinement import check_wfs1, check_wfs2, check_wfs3, refinement_map
 
 
@@ -256,7 +256,7 @@ def _check_universe(report: ExhaustiveReport, check: str, states: list, successo
     return len(states) ** 2
 
 
-class BoundsError(ValueError):
+class BoundsError(Refused):
     """Bounds run_exhaustive refuses before building anything: a usage error, unlike any ValueError of the run."""
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from . import flood_model as fn
 from .checking import CheckReport, check_step
-from .core import Message
+from .core import Message, Refused
 from .generate import GeneratorConfig
 from .runner import fuzz_run
 
@@ -81,7 +81,7 @@ def run_fault(fault: str) -> CheckReport:
         clean.config = {"fault": fault, **clean.config}
         return clean
     if fault not in _PLANTED:
-        raise ValueError(f"unknown fault {fault!r}; choose one of {', '.join(FAULTS)}")
+        raise Refused(f"unknown fault {fault!r}; choose one of {', '.join(FAULTS)}")
     s, u, kind = _PLANTED[fault]()
     report = CheckReport(config={"fault": fault})
     report.add(check_step(0, s, u, kind), s, u)

@@ -15,7 +15,7 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from . import flood_model as fn
-from .core import Message, ordered_set
+from .core import Message, Refused, ordered_set
 from .trace import TraceEvent, make_event
 
 CHURN_KINDS = ("subscribe", "unsubscribe", "join", "leave")
@@ -48,15 +48,15 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("max_peers", "max_topics", "max_messages", "steps"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise Refused(f"{name} must be non-negative")
         unknown = set(self.weights) - set(fn.STEP_KINDS)
         if unknown:
-            raise ValueError(f"unknown transition kinds in weights: {sorted(unknown)}")
+            raise Refused(f"unknown transition kinds in weights: {sorted(unknown)}")
         bad = sorted(k for k, w in self.weights.items() if not 0 <= float(w) < math.inf)
         if bad:
-            raise ValueError(f"weights must be finite and non-negative: {', '.join(bad)}")
+            raise Refused(f"weights must be finite and non-negative: {', '.join(bad)}")
         if not 0 < sum(self.effective_weights().values()) < math.inf:  # rng.choices cannot draw otherwise
-            raise ValueError("the transition weights must have a positive, finite total")
+            raise Refused("the transition weights must have a positive, finite total")
 
     def effective_weights(self) -> dict[str, float]:
         weights = {k: float(self.weights.get(k, 0.0)) for k in fn.STEP_KINDS}

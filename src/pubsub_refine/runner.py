@@ -9,7 +9,7 @@ from .checking import CheckReport, NothingChecked, check_step, check_trace_refin
 from .core import in_workers
 from .generate import GeneratorConfig, gen_enabled_transition, gen_good_state
 from .scenario import load_scenario
-from .trace import TraceError, apply_event, run_trace
+from .trace import apply_event, run_trace
 
 
 def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
@@ -27,14 +27,13 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
     Generator output is checked, not trusted: a non-good start state s is
     checked as the step s -> s, so it is unsound, a counterexample like a
     step the transition relation rejects or a failed obligation. Each
-    generated event is applied once, here, and apply_event raises
-    TraceError when the transition's guard refuses it; the first such
-    refusal in trace order is raised again here, whichever process met it.
+    generated event is applied once, here; one that its transition's guard
+    refuses is a fault of the generator, and fails its chunk like any crash.
     """
     if min(traces, cfg.steps, cfg.max_peers) < 1:
         raise NothingChecked("a fuzz run needs at least one trace, one step and one peer")
 
-    def check(lo, hi):  # [step texts, totals, moved, counterexample, refusal] of traces lo..hi-1
+    def check(lo, hi):  # [step texts, totals, moved, counterexample] of traces lo..hi-1
         part = CheckReport()
         for t in range(lo, hi):
             rng = random.Random(f"{cfg.seed}:{t}")
@@ -44,18 +43,13 @@ def fuzz_run(cfg: GeneratorConfig, traces: int = 1) -> CheckReport:
                 continue
             for index in range(t * cfg.steps, (t + 1) * cfg.steps):
                 ev = gen_enabled_transition(s, cfg, rng, index=index)
-                try:
-                    u = apply_event(s, ev)
-                except TraceError as e:  # a refusal, not a crash: the caller raises it again in trace order
-                    return [part.steps, part.totals, part.moved, part.counterexample, str(e)]
+                u = apply_event(s, ev)
                 part.add(check_step(index, s, u, ev.kind), s, u)
                 s = u
-        return [part.steps, part.totals, part.moved, part.counterexample, None]
+        return [part.steps, part.totals, part.moved, part.counterexample]
 
     report = CheckReport(config=dict(cfg.to_obj(), traces=traces))
-    for steps, totals, moved, counterexample, refusal in in_workers(traces, check):
-        if refusal is not None:
-            raise TraceError(refusal)
+    for steps, totals, moved, counterexample in in_workers(traces, check):
         report.steps += steps
         for name, n in totals.items():
             report.totals[name] += n

@@ -21,11 +21,11 @@ from __future__ import annotations
 import json
 
 from . import flood_model as fn
-from .core import Message, is_ascending
+from .core import Message, Refused, is_ascending
 from .trace import TraceEvent
 
 
-class ScenarioError(ValueError):
+class ScenarioError(Refused):
     def __init__(self, message: str, path: str):
         super().__init__(f"{path}: {message}")
         self.path = path
@@ -75,6 +75,13 @@ def _parse_topic_set(obj, path) -> tuple[str, ...]:
     return topics
 
 
+def _parse_peer_set(obj, path) -> tuple[int, ...]:
+    _require(isinstance(obj, list), "expected a list of peer ids", path)
+    ids = tuple(_parse_peer_id(q, f"{path}[{i}]") for i, q in enumerate(obj))
+    _require(is_ascending(ids), "peer set must be strictly ascending", path)
+    return ids
+
+
 def _parse_message_list(obj, path, ordered: bool) -> tuple[Message, ...]:
     _require(isinstance(obj, list), "expected a list of messages", path)
     msgs = tuple(_parse_message(m, f"{path}[{i}]") for i, m in enumerate(obj))
@@ -97,9 +104,7 @@ def _parse_peer_state(p: int, obj, path) -> fn.FloodPeer:
     for tp, peers in nsubs_obj.items():
         tp_path = f"{path}.nsubs.{tp}"
         _parse_topic(tp, tp_path)
-        _require(isinstance(peers, list), "expected a list of peer ids", tp_path)
-        ids = tuple(_parse_peer_id(q, f"{tp_path}[{i}]") for i, q in enumerate(peers))
-        _require(is_ascending(ids), "peer set must be strictly ascending", tp_path)
+        ids = _parse_peer_set(peers, tp_path)
         _require(p not in ids,
                  f"peer {p} tracks itself under topic {tp!r} (good-state invariant 1)", tp_path)
         if ids:  # empty entries are normalized away
@@ -131,6 +136,11 @@ def parse_state(obj, path: str = "state") -> fn.FloodState:
     return fn.FloodState(tuple(entries))
 
 
+# the parser of each event field that is an argument of a transition
+_EVENT_FIELDS = {"peer": _parse_peer_id, "message": _parse_message, "topics": _parse_topic_set,
+                 "pubs": _parse_topic_set, "subs": _parse_topic_set, "nbrs": _parse_peer_set}
+
+
 def _parse_event(obj, index: int, path: str) -> TraceEvent:
     _require(isinstance(obj, dict), "event must be an object", path)
     kind = obj.get("kind")
@@ -143,30 +153,14 @@ def _parse_event(obj, index: int, path: str) -> TraceEvent:
     _require(not extra, f"fields {sorted(extra)} not allowed for kind {kind!r}", path)
     missing = required - set(obj)
     _require(not missing, f"fields {sorted(missing)} required for kind {kind!r}", path)
-    peer = None
-    if "peer" in obj:
-        peer = _parse_peer_id(obj["peer"], f"{path}.peer")
-    message = None
-    if "message" in obj:
-        message = _parse_message(obj["message"], f"{path}.message")
-    topics = _parse_topic_set(obj.get("topics", []), f"{path}.topics")
-    pubs = _parse_topic_set(obj.get("pubs", []), f"{path}.pubs")
-    subs = _parse_topic_set(obj.get("subs", []), f"{path}.subs")
-    nbrs_obj = obj.get("nbrs", [])
-    _require(isinstance(nbrs_obj, list), "nbrs must be a list", f"{path}.nbrs")
-    nbrs = tuple(_parse_peer_id(q, f"{path}.nbrs[{i}]") for i, q in enumerate(nbrs_obj))
-    _require(is_ascending(nbrs), "nbrs must be strictly ascending", f"{path}.nbrs")
+    # an absent argument keeps TraceEvent's default and is not parsed
+    args = {f: _EVENT_FIELDS[f](obj[f], f"{path}.{f}") for f in fn.CASES[kind].fields if f in obj}
     return TraceEvent(
         index=_parse_natural(obj.get("index", index), "event index", f"{path}.index"),
         kind=kind,
-        peer=peer,
-        message=message,
-        topics=topics,
-        pubs=pubs,
-        subs=subs,
-        nbrs=nbrs,
         pre_digest=_parse_digest(obj, "pre_digest", path),
         post_digest=_parse_digest(obj, "post_digest", path),
+        **args,
     )
 
 
@@ -198,9 +192,12 @@ def emit_scenario(state: fn.FloodState, events) -> str:
 
 
 def load_scenario(path) -> tuple[fn.FloodState, list[TraceEvent]]:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    """Parse the scenario file at path; a file that cannot be read is refused with the OSError's text."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             document = f.read()
-        except UnicodeDecodeError as e:
-            raise ScenarioError(f"file is not UTF-8: {e.reason}", f"byte {e.start}") from e
+    except UnicodeDecodeError as e:
+        raise ScenarioError(f"file is not UTF-8: {e.reason}", f"byte {e.start}") from e
+    except OSError as e:
+        raise Refused(str(e)) from e
     return parse_scenario(document)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from . import flood_model as fn
-from .core import CACHE_SIZE, ContractError, Message, PeerId, Topic, canonical_json, memo
+from .core import CACHE_SIZE, ContractError, Message, PeerId, Refused, Topic, canonical_json, memo
 
 
-class TraceError(ValueError):
+class TraceError(Refused):
     """A trace event was not enabled at its pre-state."""
 
 

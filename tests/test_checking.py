@@ -15,7 +15,7 @@ from pubsub_refine.core import Message
 from pubsub_refine.generate import GeneratorConfig
 from pubsub_refine.refinement import refinement_map
 from pubsub_refine.runner import fuzz_run
-from pubsub_refine.trace import TraceError, TraceEvent
+from pubsub_refine.trace import TraceEvent
 
 M = Message("x", "t1", 1)
 
@@ -339,14 +339,18 @@ def test_every_slice_numbers_its_steps_after_non_good_start_states(cpus, monkeyp
 
 
 def test_fuzz_refuses_a_disabled_generated_event(monkeypatch):
+    # a generated event that its guard refuses is a fault of the generator: it fails its chunk like any crash
     monkeypatch.setattr(runner, "gen_enabled_transition", lambda s, cfg, rng, index: TraceEvent(index, "leave", peer=99))
-    with pytest.raises(TraceError, match=r"step 0 \(leave\).*not in state"):
+    with pytest.raises(RuntimeError) as failed:
         fuzz_run(GeneratorConfig(seed=1, steps=1))
+    assert str(failed.value) == "rows 0..0 failed: TraceError: step 0 (leave): leave: peer 99 not in state"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_a_disabled_event_in_any_trace_is_refused_as_it_is(cpus, monkeypatch):
-    # the first refusal in trace order is raised with its own type and text, whichever process met it
+    # the lowest failing chunk is raised with one text, whichever process met the refusal
     real = runner.gen_enabled_transition
 
     def disabled_from_step_9(s, cfg, rng, index):
@@ -354,7 +358,8 @@ def test_a_disabled_event_in_any_trace_is_refused_as_it_is(cpus, monkeypatch):
 
     monkeypatch.setattr(runner, "gen_enabled_transition", disabled_from_step_9)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    with pytest.raises(TraceError, match=r"^step 9 \(leave\): leave: peer 99 not in state$"):
+    with pytest.raises(RuntimeError) as failed:
         fuzz_run(GeneratorConfig(seed=5, steps=3), traces=5)
+    assert str(failed.value) == "rows 3..3 failed: TraceError: step 9 (leave): leave: peer 99 not in state"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1,21 +1,32 @@
 import gc
+import importlib
+import inspect
+import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pubsub_refine
 from pubsub_refine import cli, runner
 from pubsub_refine import flood_model as fn
+from pubsub_refine.checking import NothingChecked
 from pubsub_refine.cli import main
-from pubsub_refine.core import ContractError, canonical_json
-from pubsub_refine.exhaustive import enumerate_flood_states
+from pubsub_refine.core import ContractError, Refused, canonical_json
+from pubsub_refine.exhaustive import BoundsError, enumerate_flood_states
 from pubsub_refine.faults import FAULTS
 from pubsub_refine.generate import GeneratorConfig
+from pubsub_refine.scenario import ScenarioError
+from pubsub_refine.trace import TraceError
 
 FIGURE1 = resources.files("pubsub_refine") / "scenarios" / "figure1.json"
 
@@ -435,10 +446,10 @@ def test_the_cli_starts_without_loading_a_process_pool():
 # ends the process with os._exit once main has flushed its output; each spawn must keep its exit code.
 
 
-def spawn(args, cwd, stdout=subprocess.PIPE):
+def spawn(args, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
     return subprocess.run([sys.executable, "-m", "pubsub_refine.cli", *args], cwd=cwd, env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=120)
+                          stderr=stderr, text=True, timeout=120)
 
 
 def without_elapsed(text: str) -> str:
@@ -476,6 +487,24 @@ def test_a_report_that_cannot_be_written_to_a_closed_pipe_is_an_internal_error(t
     assert done.stderr == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("args, code", [
+    (["run", str(FIGURE1), "--report", "r.json"], 0),
+    (["mutate", "--fault", "drop-receiver"], 1),
+    (["run", "missing.json"], 2),
+])
+def test_a_closed_standard_error_changes_no_exit_code(args, code, tmp_path):
+    # standard error is advisory: a summary or error line nobody reads is dropped, and the exit code stays
+    r, w = os.pipe()
+    os.close(r)  # nobody reads: every write to w fails with EPIPE
+    try:
+        done = spawn(args, tmp_path, stdout=subprocess.DEVNULL, stderr=w)
+    finally:
+        os.close(w)
+    assert done.returncode == code
+    if code == 0:
+        assert json.loads((tmp_path / "r.json").read_text())["totals"]["steps"] == 6
+
+
 def test_a_spawn_without_a_standard_output_still_writes_its_report(tmp_path):
     # a process started with descriptor 1 closed has sys.stdout None; the flush must not fail on it
     env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
@@ -486,8 +515,108 @@ def test_a_spawn_without_a_standard_output_still_writes_its_report(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["totals"]["steps"] == 6
 
 
+def test_a_spawn_without_a_standard_error_writes_only_its_report(tmp_path):
+    # with descriptor 2 closed sys.stderr is None, and print would send the summary to stdout, into the report
+    env = {**os.environ, "PYTHONPATH": str(resources.files("pubsub_refine").parent)}
+    done = subprocess.run([sys.executable, "-m", "pubsub_refine.cli", "run", str(FIGURE1)], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, text=True, timeout=120, preexec_fn=lambda: os.close(2))
+    assert done.returncode == 0
+    assert done.stdout == canonical_json(json.loads(done.stdout)) + "\n"
+
+
 def test_the_console_script_runs_the_module_entry():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert 'pubsub-refine = "pubsub_refine.cli:entry"\n' in pyproject
     source = Path(cli.__file__).read_text()
     assert source.endswith('\nif __name__ == "__main__":\n    entry()\n')
+
+
+# One exit decision: every exception class of the package is a refusal of its input (core.Refused, exit 2
+# through main) or a transition applied outside its guard (ContractError, a fault of the checker, exit 3).
+
+
+def package_exceptions() -> set[type]:
+    found = set()
+    for info in pkgutil.iter_modules(pubsub_refine.__path__):
+        module = importlib.import_module(f"pubsub_refine.{info.name}")
+        found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException) and cls.__module__ == module.__name__}
+    return found
+
+
+def write(path: Path, document) -> str:
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+REFUSALS = {  # each refusal type -> the arguments of a command that meets it
+    Refused: lambda tmp: ["fuzz", "--weights", "produce"],
+    ScenarioError: lambda tmp: ["run", write(tmp / "bad.json", {"state": {"peers": {"x": {}}}})],
+    TraceError: lambda tmp: ["run", write(tmp / "disabled.json", {"state": {"peers": {}},
+                                                                  "events": [{"kind": "leave", "peer": 4}]})],
+    BoundsError: lambda tmp: ["enumerate", "--peers", "0", "--topics", "1", "--messages", "1"],
+    NothingChecked: lambda tmp: ["fuzz", "--traces", "0"],
+}
+
+
+def test_every_exception_of_the_package_is_a_refusal_or_a_broken_contract():
+    found = package_exceptions()
+    assert {cls for cls in found if not issubclass(cls, Refused)} == {ContractError}
+    assert {cls for cls in found if issubclass(cls, Refused)} == set(REFUSALS)
+
+
+@pytest.mark.parametrize("refusal", REFUSALS, ids=lambda cls: cls.__name__)
+def test_every_refusal_exits_2_through_main(refusal, tmp_path, monkeypatch, capsys):
+    real, raised = cli._run, []
+
+    def recording(args):
+        try:
+            return real(args)
+        except Exception as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(cli, "_run", recording)
+    assert_usage_error(REFUSALS[refusal](tmp_path), capsys)
+    assert [type(e) for e in raised] == [refusal]
+
+
+bounds = st.integers(-1, 3)
+weight_items = st.one_of(
+    st.tuples(st.sampled_from([*fn.STEP_KINDS, "teleport"]),
+              st.sampled_from(["0", "1", "2.5", "-1", "nan", "inf", "1e308", "1e999", "x", ""])).map("=".join),
+    st.sampled_from(["produce", "=", "forward=1=2", " "]),
+)
+fuzz_flags = st.fixed_dictionaries(
+    {"--traces": bounds, "--steps": bounds, "--max-peers": bounds, "--max-topics": bounds,
+     "--max-messages": bounds, "--seed": st.integers(0, 3)},
+    optional={"--weights": st.lists(weight_items, max_size=3).map(",".join)},
+)
+# at most 33 flood states are ever enumerated (1 peer, 1 topic, 1 message); larger bounds meet the cap
+enumerate_flags = st.fixed_dictionaries(
+    {"--peers": st.integers(-1, 2), "--topics": st.integers(-1, 1), "--messages": st.integers(-1, 1),
+     "--cap": st.sampled_from([-1, 0, 40])},
+)
+commands = st.one_of(
+    st.tuples(st.just("fuzz"), fuzz_flags, st.booleans(), st.sampled_from([None, "missing", "directory", "empty"])),
+    st.tuples(st.just("enumerate"), enumerate_flags, st.just(False), st.just(None)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(command=commands)
+def test_flags_give_a_pass_or_one_error_line(command, tmp_path_factory):
+    name, flags, static, report = command
+    base = tmp_path_factory.getbasetemp()
+    argv = [name, *(str(part) for flag, value in flags.items() for part in (flag, value))]
+    argv += ["--static"] * static
+    if report is not None:
+        argv += ["--report", {"missing": str(base / "missing" / "r.json"), "directory": str(base), "empty": ""}[report]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert out.getvalue() == ""
+    else:
+        assert code == 0, (argv, err.getvalue())
