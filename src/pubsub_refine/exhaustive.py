@@ -21,7 +21,8 @@ over each model. It cross-checks four things:
 
 Each universe is built from one tuple of per-peer states and interned once:
 a state's position is its id and a successor set is a set of ids, so the
-all-pairs check decides membership by an int lookup. A row is one state's
+all-pairs check decides membership by an int lookup; fn.is_step rejects most
+flood pairs by two frame hashes each state keeps. A row is one state's
 whole work: its successors and their ids, for a flood state good-state
 preservation and the obligations, then its agreement with the whole
 universe. A row reads no other row, so core.in_workers hands the rows out

@@ -3,6 +3,7 @@ import json
 import os
 import select
 import time
+from importlib import resources
 
 import pytest
 
@@ -22,7 +23,9 @@ from pubsub_refine.exhaustive import (
     run_exhaustive,
     universe_pools,
 )
+from pubsub_refine.generate import GeneratorConfig
 from pubsub_refine.refinement import check_wfs1
+from pubsub_refine.runner import fuzz_run, scenario_run
 from pubsub_refine.trace import TraceError, TraceEvent, apply_event
 
 
@@ -323,7 +326,10 @@ def test_step_cases_agree_with_the_successor_kinds(model, states, successors, bo
     # whose test would reject the pair, and the spec classifier names the
     # first accepting case. The flood cases exclude one another, so at most
     # one accepts; only the spec needs a first-case rule, because every
-    # broadcast is also a partial broadcast to the subscribers and the origin
+    # broadcast is also a partial broadcast to the subscribers and the origin.
+    # So the flood is_step, which rejects most pairs by their frames before
+    # any case runs, and step_kinds, which fuzz and replay call, decide one
+    # relation: on all 25,921 pairs at flood-1-1-2
     universe = list(states(*bounds))
     pools = universe_pools(*bounds)
     for s in universe:
@@ -339,6 +345,46 @@ def test_step_cases_agree_with_the_successor_kinds(model, states, successors, bo
             else:
                 assert bn.step_kind(s, u) == (accepted or [None])[0], (s, u)
             assert model.is_step(s, u) == bool(accepted), (s, u)
+
+
+FRAME_KEEPERS = {"skip": (0, 1), "produce": (0,), "forward": (0,), "subscribe": (1,), "unsubscribe": (1,)}
+
+
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (1, 1, 3)], ids=["1-1-2", "1-1-3"])
+def test_every_equal_length_step_keeps_its_frame(bounds):
+    # the gate of is_step rests on this: produce, forward and skip keep
+    # frame A, subscribe, unsubscribe and skip keep frame B, and join and
+    # leave change the length; checked on the frames, not through is_step
+    pools = universe_pools(*bounds)
+    seen = set()
+    for s in enumerate_flood_states(*bounds):
+        for kind, u in flood_successors(s, *pools):
+            if len(u.entries) != len(s.entries):
+                assert kind in ("join", "leave"), (kind, s, u)
+                continue
+            for frame in FRAME_KEEPERS[kind]:
+                assert fn.frames(u)[frame] == fn.frames(s)[frame], (kind, frame, s, u)
+            seen.add(kind)
+    assert seen == set(FRAME_KEEPERS)
+
+
+def test_fuzz_and_replay_compute_no_frame(monkeypatch):
+    # only is_step, the all-pairs relation, pays for frames; one CPU, so
+    # every trace runs here and a call in any of them would be counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return (0, 0)
+
+    monkeypatch.setattr(fn, "frames", counted)
+    report = fuzz_run(GeneratorConfig(seed=7, steps=20), traces=50)
+    assert report.totals["steps"] == 1000
+    assert scenario_run(resources.files("pubsub_refine") / "scenarios" / "figure1.json").ok
+    assert calls == []
+    fn.is_step(fn.FloodState(((0, fn.FloodPeer()),)), fn.FloodState(((0, fn.FloodPeer(pubs=("t0",))),)))
+    assert len(calls) == 2  # the relation's own calls are counted
 
 
 @pytest.mark.parametrize("bounds", [(1, 1, 2), (2, 1, 0)])
