@@ -20,14 +20,18 @@ over each model. It cross-checks four things:
   * every step from a good state passes the three simulation obligations.
 
 Each universe is built from one tuple of per-peer states and interned once:
-a state's position is its id and a successor set is a set of ids, so the
-all-pairs check decides membership by an int lookup; fn.is_step rejects most
-flood pairs by two frame hashes each state keeps. A row is one state's
-whole work: its successors and their ids, for a flood state good-state
-preservation and the obligations, then its agreement with the whole
-universe. A row reads no other row, so core.in_workers hands the rows out
-in chunks to the calling process and one forked child per further usable
-CPU, and each sends back its counts and kept dumps. Merged in row order,
+a state's position is its id and a successor set is a set of ids. The
+all-pairs check maps the relation over the whole universe once per row, and
+the ids it accepts, set against the successor ids, are that row's
+disagreements, noted in ascending order. fn.is_step runs its cases only on
+flood pairs of unequal length or that keep frame B or frame C, or, as a
+forward of a newly seen message does, frame A with the seen identity (see
+flood_model.frames).
+A row is one state's whole work: its successors and their ids, for a flood
+state good-state preservation and the obligations, then its agreement with
+the whole universe. A row reads no other row, so core.in_workers hands the
+rows out in chunks to the calling process and one forked child per further
+usable CPU, and each sends back its counts and kept dumps. Merged in row order,
 every row's build notes first and then every row's agreement notes, they
 give the report one process deciding the rows in turn writes. A failed
 row or child is an internal error, never a discrepancy.
@@ -240,10 +244,10 @@ def _check_universe(report: ExhaustiveReport, check: str, states: list, successo
             ids = _successor_ids(built, index, s, succs)
             if build is not None:
                 build(built, s, succs)
-            for j, u in enumerate(states):
-                r = related(s, u)
-                if r != (j in ids):
-                    agreed.note(check, s, u, relation=r, enumerated=not r)
+            hits = set(itertools.compress(range(len(states)), map(related, itertools.repeat(s), states)))
+            for j in sorted(hits ^ ids):  # the pairs on which the relation and the successor set disagree
+                r = j in hits
+                agreed.note(check, s, states[j], relation=r, enumerated=not r)
         return [[built.discrepancy_counts, built.discrepancies, built.successors_checked, built.obligations_checked],
                 [agreed.discrepancy_counts, agreed.discrepancies]]
 

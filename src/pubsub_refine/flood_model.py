@@ -31,7 +31,8 @@ joins also touch other peers' nsubs maps, so the topics walk skips entries
 whose key and subs agree and the join walk compares keys only; both serve
 the specification too. Replay equality still decides every case, so no
 witness admits a false step. is_step, which the all-pairs oracle runs,
-first rejects a pair of equal length whose two frame hashes both differ;
+first rejects a pair of equal length that keeps neither frame B nor frame C
+and does not keep frame A with the seen identity of a forward (see frames);
 step_kinds, which fuzz and replay run on real steps, has no such gate.
 """
 
@@ -426,23 +427,49 @@ def step_kinds(s: FloodState, u: FloodState) -> tuple[str, ...]:
     return tuple(k for k in _possible_kinds(s, u) if _STEP_TESTS[k](s, u))
 
 
-def frames(s: FloodState) -> tuple[int, int]:
-    """Hashes of frame A, kept by skip, produce and forward, and frame B, kept by skip, subscribe and unsubscribe."""
-    return (hash(tuple([(p, a.pubs, a.subs, a.nsubs) for p, a in s.entries])),
-            hash(tuple([(p, a.pubs, a.pending, a.seen) for p, a in s.entries])))
+def frames(s: FloodState) -> tuple[int, ...]:
+    """The facts is_step's gate compares: the number of entries; the hashes of frame A,
+    (key, pubs, subs, nsubs), frame B, (key, pubs, pending, seen), and frame C, (key, pubs,
+    subs, nsubs, seen); the total pending length P and seen length S; and the sums of
+    hash(m) over every pending and every seen message.
+
+    Skip keeps all three frames, produce A and C, subscribe and unsubscribe
+    B. A forward keeps A; it keeps C too unless the forwarder had not seen
+    its message m. Then S grows by 1 and the sum over seen by hash(m), and
+    reaching r new receivers makes P grow by r - 1 and the sum over pending
+    by (r - 1) * hash(m). The sums are exact Python ints, so that identity
+    holds for any hash function.
+    """
+    es = s.entries
+    pending = [m for _, a in es for m in a.pending]
+    seen = [m for _, a in es for m in a.seen]
+    return (len(es),
+            hash(tuple([(p, a.pubs, a.subs, a.nsubs) for p, a in es])),
+            hash(tuple([(p, a.pubs, a.pending, a.seen) for p, a in es])),
+            hash(tuple([(p, a.pubs, a.subs, a.nsubs, a.seen) for p, a in es])),
+            len(pending), len(seen), sum(map(hash, pending)), sum(map(hash, seen)))
 
 
 def is_step(s: FloodState, u: FloodState) -> bool:
-    """The transition relation: any of the seven cases accepts (s, u). Every case that keeps the length
-    keeps a frame and unequal hashes prove unequal frames, so most all-pairs pairs end at the frames."""
-    if len(s.entries) == len(u.entries):
-        try:  # a plain attribute read once both are decided: a memo call per state costs a third of the gain
-            (a, b), (c, d) = s._frames, u._frames
-        except AttributeError:
-            (a, b), (c, d) = s.memo("_frames", frames), u.memo("_frames", frames)
-        if a != c and b != d:
-            return False
-    for k in _possible_kinds(s, u):
-        if _STEP_TESTS[k](s, u):
+    """The transition relation: any of the seven cases accepts (s, u).
+
+    A pair of equal length is sent to the cases only if it keeps frame B,
+    keeps frame C, or keeps frame A with a seen total grown by exactly 1 and
+    a pending sum grown by the pending growth times the seen sum's growth:
+    every case that keeps the length does one of these (see frames), and
+    unequal hashes prove unequal frames, so most all-pairs pairs end here.
+    Frame C holds frame A's fields, so a pair whose A differs keeps no C and
+    ends at three comparisons.
+    """
+    try:  # a plain attribute read once both are decided: a memo call per state costs a third of the gain
+        x, y = s._frames, u._frames
+    except AttributeError:
+        x, y = s.memo("_frames", frames), u.memo("_frames", frames)
+    # indexed, not unpacked: most pairs read three of the eight facts (n, A, B, C, P, S, sum P, sum S)
+    if x[0] == y[0] and x[2] != y[2] and (
+            x[1] != y[1] or x[3] != y[3] and (y[5] - x[5] != 1 or y[6] - x[6] != (y[4] - x[4]) * (y[7] - x[7]))):
+        return False
+    for kind in _possible_kinds(s, u):
+        if _STEP_TESTS[kind](s, u):
             return True
     return False

@@ -11,7 +11,7 @@ from pubsub_refine import broadcast_model as bn
 from pubsub_refine import exhaustive
 from pubsub_refine import flood_model as fn
 from pubsub_refine.cli import main
-from pubsub_refine.core import CHUNKS, ContractError, enabled, in_workers, subsets
+from pubsub_refine.core import CHUNKS, ContractError, Message, enabled, in_workers, subsets
 from pubsub_refine.exhaustive import (
     KEPT_DISCREPANCIES,
     BoundsError,
@@ -347,25 +347,67 @@ def test_step_cases_agree_with_the_successor_kinds(model, states, successors, bo
             assert model.is_step(s, u) == bool(accepted), (s, u)
 
 
-FRAME_KEEPERS = {"skip": (0, 1), "produce": (0,), "forward": (0,), "subscribe": (1,), "unsubscribe": (1,)}
+# frames(s) is (entries, A, B, C, pending total, seen total, pending sum, seen sum)
+FRAME_KEEPERS = {"skip": (1, 2, 3), "produce": (1, 3), "forward": (1,), "subscribe": (2,), "unsubscribe": (2,)}
 
 
-@pytest.mark.parametrize("bounds", [(1, 1, 2), (1, 1, 3)], ids=["1-1-2", "1-1-3"])
+@pytest.mark.parametrize("bounds", [(1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 1, 1)], ids=lambda b: "-".join(map(str, b)))
 def test_every_equal_length_step_keeps_its_frame(bounds):
-    # the gate of is_step rests on this: produce, forward and skip keep
-    # frame A, subscribe, unsubscribe and skip keep frame B, and join and
+    # the gate of is_step rests on this: skip keeps frames A, B and C,
+    # produce A and C, subscribe and unsubscribe B, and a forward A and
+    # either C (its message was already seen) or the seen identity; join and
     # leave change the length; checked on the frames, not through is_step
     pools = universe_pools(*bounds)
-    seen = set()
+    seen, forwards = set(), {"C": 0, "identity": 0}
     for s in enumerate_flood_states(*bounds):
+        f = fn.frames(s)
         for kind, u in flood_successors(s, *pools):
+            g = fn.frames(u)
             if len(u.entries) != len(s.entries):
-                assert kind in ("join", "leave"), (kind, s, u)
+                assert kind in ("join", "leave") and g[0] != f[0], (kind, s, u)
                 continue
+            assert g[0] == f[0], (kind, s, u)
             for frame in FRAME_KEEPERS[kind]:
-                assert fn.frames(u)[frame] == fn.frames(s)[frame], (kind, frame, s, u)
+                assert g[frame] == f[frame], (kind, frame, s, u)
+            if kind == "forward":
+                branch = "C" if g[3] == f[3] else "identity"
+                # the seen total grows by 1, the pending sum by the pending growth times the seen sum's growth
+                assert branch == "C" or g[5] - f[5] == 1 and g[6] - f[6] == (g[4] - f[4]) * (g[7] - f[7]), (s, u)
+                forwards[branch] += 1
             seen.add(kind)
     assert seen == set(FRAME_KEEPERS)
+    assert min(forwards.values()) > 0, forwards
+
+
+def test_a_forward_of_a_message_already_seen_keeps_frame_c():
+    # peer 0 holds m both pending and seen and tracks peer 1 under m's
+    # topic: its forward changes no seen set, so only frame C lets it through
+    m = Message("m0", "t0", 0)
+    s = fn.FloodState(((0, fn.FloodPeer(("t0",), (), (("t0", (1,)),), (m,), (m,))), (1, fn.FloodPeer(subs=("t0",)))))
+    u = fn.forward(0, m, s)
+    assert u.get(1).pending == (m,) and u.get(0).seen == (m,)
+    f, g = fn.frames(s), fn.frames(u)
+    assert g[3] == f[3] and g[2] != f[2] and g[5] == f[5]
+    assert fn.step_kinds(s, u) == ("forward",)
+    assert fn.is_step(s, u)
+
+
+def test_the_gate_sends_only_possible_steps_to_the_cases(monkeypatch):
+    # the distinct pairs that reach _possible_kinds at (1,1,3), in is_step or
+    # in step_kinds on a successor: 29,057 of equal length that keep frame B,
+    # frame C or frame A with the seen identity, and the 2,048 of unequal
+    # length. One CPU, so every row runs in this process and each of its
+    # calls is counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    real, pairs = fn._possible_kinds, set()
+
+    def counted(s, u):
+        pairs.add((s, u))
+        return real(s, u)
+
+    monkeypatch.setattr(fn, "_possible_kinds", counted)
+    assert run_exhaustive(1, 1, 3).ok
+    assert len(pairs) == 31_105
 
 
 def test_fuzz_and_replay_compute_no_frame(monkeypatch):
@@ -376,7 +418,7 @@ def test_fuzz_and_replay_compute_no_frame(monkeypatch):
 
     def counted(s):
         calls.append(s)
-        return (0, 0)
+        return (0,) * 8
 
     monkeypatch.setattr(fn, "frames", counted)
     report = fuzz_run(GeneratorConfig(seed=7, steps=20), traces=50)

@@ -42,15 +42,25 @@ def test_generation_is_deterministic():
 
 
 def test_generated_steps_satisfy_the_relation():
-    cfg = GeneratorConfig(max_peers=5, max_topics=3, max_messages=4, steps=1)
-    rng = random.Random(11)
-    s = gen_good_state(cfg, rng)
-    for i in range(300):
-        ev = gen_enabled_transition(s, cfg, rng, index=i)
-        u = apply_event(s, ev)
-        assert fn.is_step(s, u), ev
-        assert fn.is_good_state(u)
-        s = u
+    # the acceptance config, with churn and static, also forwards to several
+    # receivers, so a pending total that grows (frames(u)[4] > frames(s)[4])
+    # meets the frame gate of is_step; no enumerated bound reaches such a forward
+    for cfg in (
+        GeneratorConfig(max_peers=5, max_topics=3, max_messages=4, steps=1),
+        GeneratorConfig(max_peers=8, max_topics=4, max_messages=6, steps=1),
+        GeneratorConfig(max_peers=8, max_topics=4, max_messages=6, steps=1, static=True),
+    ):
+        rng = random.Random(11)
+        s = gen_good_state(cfg, rng)
+        wide = 0
+        for i in range(300):
+            ev = gen_enabled_transition(s, cfg, rng, index=i)
+            u = apply_event(s, ev)
+            assert fn.is_step(s, u), (cfg, ev)
+            assert fn.is_good_state(u)
+            wide += ev.kind == "forward" and fn.frames(u)[4] > fn.frames(s)[4]
+            s = u
+        assert wide > 0, cfg
 
 
 def test_produce_events_satisfy_their_precondition():
